@@ -376,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        print("error: --tol must be finite and positive", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         return COMMANDS[args.command](args)

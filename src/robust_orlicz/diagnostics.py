@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import MeasureVector, ScenarioModel, canonicalise, expectation
-from .norms import (DEFAULT_TOL, OrliczFamily, single_prior_luxemburg,
-                    single_prior_modular)
+from .model import MeasureVector, ScenarioModel, canonicalise
+from .norms import (DEFAULT_TOL, OrliczFamily, single_prior_modular,
+                    sup_prior_norms)
 
 INF = math.inf
 
@@ -96,11 +96,10 @@ def gaussian_uniform_family_ladder(phi, truncations: Sequence[float],
 
 def _robust_norm(t: Truncation, x: Optional[np.ndarray] = None,
                  tol: float = DEFAULT_TOL) -> float:
-    """Robust norm as the sup of per-prior norms (the second expression
-    of the defining identity; cheap closed forms apply per prior)."""
+    """Robust norm of one rung as the sup of per-prior norms (uncertified;
+    cheap closed forms apply per prior)."""
     abs_x = np.abs(canonicalise(t.model, t.x if x is None else x).values)
-    return max(single_prior_luxemburg(prior, t.family.phi(label), abs_x, tol=tol)
-               for label, prior in zip(t.model.prior_labels, t.model.priors))
+    return sup_prior_norms(t.model, abs_x, t.family, tol)[0]
 
 
 # -- moment growth --------------------------------------------------------
@@ -318,10 +317,7 @@ def mixture_witness(model: ScenarioModel, x, family: OrliczFamily,
     if gamma is None:
         gamma = {l: 0.0 for l in model.prior_labels}
     abs_x = np.abs(canonicalise(model, x).values)
-    per_prior = {
-        label: single_prior_luxemburg(prior, family.phi(label), abs_x, tol=tol)
-        for label, prior in zip(model.prior_labels, model.priors)
-    }
+    per_prior = sup_prior_norms(model, abs_x, family, tol)[1]
     labels = list(model.prior_labels)
     if pstar_label is None:
         pstar_label = labels[0]

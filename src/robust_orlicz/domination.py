@@ -9,15 +9,14 @@ coincides with the quasi-sure order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .duality import prior_norm_bound
 from .errors import ValidationError
-from .model import MeasureVector, ScenarioModel, qs_order
+from .model import MeasureVector, ScenarioModel
 from .norms import OrliczFamily
 
 
@@ -29,7 +28,6 @@ class DominationReport:
     strict_positivity: bool
     order_collapse: bool
     order_pairs_checked: int
-    member_mixture: bool
     notes: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -40,20 +38,22 @@ class DominationReport:
             "strict_positivity": self.strict_positivity,
             "order_collapse": self.order_collapse,
             "order_pairs_checked": self.order_pairs_checked,
-            "member_mixture": self.member_mixture,
             "notes": list(self.notes),
         }
 
 
 def dominating_measure(model: ScenarioModel, family: OrliczFamily,
-                       n_order_pairs: int = 1000, seed: int = 0,
-                       mixture_closed: bool = False) -> DominationReport:
+                       n_order_pairs: int = 1000, seed: int = 0) -> DominationReport:
     """Build P* = (sum_n 2^{-n} min{1, 1/||P_n||} P_n) / normalisation.
 
     Prior enumeration follows the model's declaration order; the weights
     are recorded so the construction is reproducible. Verifies strict
-    positivity on the quasi-sure support and order collapse on random
-    pairs (the P*-a.s. order equals the quasi-sure order).
+    positivity on the quasi-sure support and order collapse (the P*-a.s.
+    order equals the quasi-sure order). On a finite model both orders
+    agree for every pair of random variables exactly when
+    {P* > 0} equals the quasi-sure support, so collapse is decided exactly
+    from those two masks and no pairs are sampled: order_pairs_checked is
+    0, and n_order_pairs and seed are accepted but unused.
     """
     family.check_model(model)
     raw = np.zeros(model.n_atoms)
@@ -69,31 +69,16 @@ def dominating_measure(model: ScenarioModel, family: OrliczFamily,
     pstar = raw / total
     weights = {l: c / total for l, c in coeffs.items()}
 
-    support = model.support_mask
-    strict = bool(np.all(pstar[support] > 0.0)) and bool(np.all(pstar[~support] == 0.0))
-
-    rng = np.random.default_rng(seed)
-    collapse = True
-    for i in range(n_order_pairs):
-        x = rng.normal(size=model.n_atoms)
-        if i % 2 == 0:
-            y = x + rng.choice([0.0, 1.0], size=model.n_atoms) * np.abs(
-                rng.normal(size=model.n_atoms))
-        else:
-            y = rng.normal(size=model.n_atoms)
-        qs = qs_order(model, x, y) in ("le", "eq")
-        past = bool(np.all(np.where(pstar > 0, x, 0.0) <= np.where(pstar > 0, y, 0.0)))
-        if qs != past:
-            collapse = False
-            break
+    # P* >= 0, so strict positivity on the support means {P* > 0} equals
+    # the support, which is also the exact condition for order collapse
+    strict = bool(np.array_equal(pstar > 0.0, model.support_mask))
 
     notes = ["separability is automatic on a finite model",
              "normalisation constant fixed as 1/total mass of the raw mixture"]
     return DominationReport(
         pstar=MeasureVector(pstar), weights=weights,
         operator_norm_bounds=bounds, strict_positivity=strict,
-        order_collapse=collapse, order_pairs_checked=n_order_pairs,
-        member_mixture=bool(mixture_closed), notes=notes)
+        order_collapse=strict, order_pairs_checked=0, notes=notes)
 
 
 @dataclass

@@ -54,14 +54,19 @@ class ScenarioModel:
     atoms: tuple
     priors: tuple
     prior_labels: tuple
+    #: atoms charged by at least one prior (the quasi-sure support)
+    support_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, atoms: Sequence[str], priors: Iterable, prior_labels=None):
         atoms = tuple(str(a) for a in atoms)
         mats = []
+        support = np.zeros(len(atoms), dtype=bool)
         for p in priors:
             v = np.asarray(p, dtype=float)
             if v.shape != (len(atoms),):
                 raise ValidationError("prior length does not match atom count")
+            if not np.all(np.isfinite(v)):
+                raise ValidationError("prior masses must be finite")
             if np.any(v < 0):
                 raise ValidationError("prior has negative mass")
             s = float(v.sum())
@@ -71,6 +76,7 @@ class ScenarioModel:
                 v = v / s
             v.setflags(write=False)
             mats.append(v)
+            support |= v > 0.0
         if not mats:
             raise ValidationError("a model needs at least one prior")
         if prior_labels is None:
@@ -82,6 +88,8 @@ class ScenarioModel:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "priors", tuple(mats))
         object.__setattr__(self, "prior_labels", prior_labels)
+        support.setflags(write=False)
+        object.__setattr__(self, "support_mask", support)
 
     @property
     def n_atoms(self) -> int:
@@ -96,11 +104,6 @@ class ScenarioModel:
             return self.priors[self.prior_labels.index(label)]
         except ValueError:
             raise ValidationError(f"unknown prior label {label!r}") from None
-
-    @property
-    def support_mask(self) -> np.ndarray:
-        """Boolean mask of atoms charged by at least one prior."""
-        return np.max(np.stack(self.priors), axis=0) > 0.0
 
     def polar_set(self) -> frozenset:
         """Atoms null under every prior."""
@@ -124,10 +127,15 @@ class RandomVariable:
 
 
 def canonicalise(model: ScenarioModel, x) -> RandomVariable:
-    """Zero a random variable on the polar set; idempotent."""
+    """Zero a random variable on the polar set; idempotent.
+
+    NaN entries are rejected; +-inf entries are valid values.
+    """
     v = x.values if isinstance(x, RandomVariable) else np.asarray(x, dtype=float)
     if v.shape != (model.n_atoms,):
         raise ValidationError("random variable length does not match atom count")
+    if np.isnan(v).any():
+        raise ValidationError("random variable has NaN entries")
     return RandomVariable(np.where(model.support_mask, v, 0.0), canonical=True)
 
 

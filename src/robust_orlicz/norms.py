@@ -1,22 +1,24 @@
 """Robust Luxemburg norms over a family of priors.
 
-The norm is inf{lam > 0 : sup_P E_P[phi_P(|X|/lam)] <= 1}, located by
-bracketing and bisection on log(lam). The modular is monotone in lam but
-may jump (ess-sup indicator), so derivative-free bracketing is the only
-safe strategy; the reported value is the midpoint of the final bracket.
+The norm is inf{lam > 0 : sup_P E_P[phi_P(|X|/lam)] <= 1}, which equals
+the sup of the single-prior norms. It is computed as that sup, each
+single-prior norm in closed form or by bracketing and bisection on
+log(lam) (the modular is monotone in lam but may jump, as for the ess-sup
+indicator, so derivative-free bracketing is the only safe strategy), and
+certified on the joint modular at the two ends of a small bracket.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Tuple
 
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .model import RandomVariable, ScenarioModel, canonicalise, expectation
-from .orlicz import EssSupIndicator, OrliczFunction, Power, Scaled
+from .model import ScenarioModel, canonicalise, expectation
+from .orlicz import OrliczFunction, Power, Scaled
 
 INF = math.inf
 
@@ -24,6 +26,10 @@ DEFAULT_TOL = 1e-10
 MAX_ITER = 200
 _LAMBDA_CAP = 2.0 ** 1023
 _LAMBDA_FLOOR = 1e-300
+# half-width of the certified bracket in units of tol * max(1, value): the
+# single-prior norms are within tol / 4 of theirs, so its ends straddle
+# the norm with a margin, and it is narrower than tol
+_CERT_HALF_WIDTH = 0.45
 
 
 @dataclass(frozen=True)
@@ -48,15 +54,6 @@ class OrliczFamily:
 
     def phi_max(self, x) -> float:
         return max(phi(x) for phi in self.functions.values())
-
-    def phi_max_finite_point(self, grid=None) -> Optional[float]:
-        """Some x0 > 0 with sup_P phi_P(x0) finite, or None."""
-        if grid is None:
-            grid = [2.0 ** (-k) for k in range(0, 64)]
-        for x0 in grid:
-            if self.phi_max(x0) < INF:
-                return x0
-        return None
 
     # -- constructors -----------------------------------------------------
 
@@ -102,6 +99,17 @@ def _check_labels(model: ScenarioModel, mapping: Mapping[str, float], name: str)
 
 @dataclass
 class NormResult:
+    """A robust norm with its certificate.
+
+    `bracket` is the certified interval: the joint modular is <= 1 at
+    bracket[1] and > 1 at bracket[0] (when bracket[0] > 0), so the norm
+    lies in it; it is (0, 0) for a variable that vanishes on the support
+    and (2**1023, inf) for an infinite norm. `modular_at_value` is the
+    joint modular at bracket[1] (inf for an infinite norm). `iterations`
+    counts the bisection steps of the single-prior norm that attains the
+    sup (0 for a closed form).
+    """
+
     value: float
     bracket: tuple
     modular_at_value: float
@@ -116,6 +124,11 @@ class NormResult:
             "iterations": self.iterations,
             "per_prior_norms": dict(self.per_prior_norms),
         }
+
+
+def _check_tol(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValidationError("tol must be finite and positive")
 
 
 # -- modulars -------------------------------------------------------------
@@ -134,8 +147,7 @@ def single_prior_modular(prior: np.ndarray, phi: OrliczFunction,
     return float(np.dot(prior[pos], vals))
 
 
-def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily,
-            early_exit: bool = False) -> float:
+def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily) -> float:
     """sup over priors of E_P[phi_P(|X| / lam)]."""
     family.check_model(model)
     abs_x = np.abs(canonicalise(model, x).values)
@@ -144,8 +156,6 @@ def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily,
         m = single_prior_modular(prior, family.phi(label), abs_x, lam)
         if m > best:
             best = m
-        if early_exit and best > 1.0:
-            return best
     return best
 
 
@@ -153,11 +163,15 @@ def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily,
 
 
 def _norm_bisection(pred: Callable[[float], bool], tol: float,
-                    max_iter: int) -> tuple:
+                    max_iter: int, scale: float = 1.0) -> tuple:
     """inf of the (upward-closed) set {lam : pred(lam)}.
 
+    Stops once hi - lo <= tol * max(1 / scale, hi), which is the width
+    bound tol * max(1, hi) in the units of scale * lam, without forming
+    scale * hi (it may overflow).
     Returns (value, (lo, hi), iterations); value may be 0.0 or inf.
     """
+    unit = 1.0 / scale
     it = 0
     if pred(1.0):
         hi, lo = 1.0, 0.5
@@ -173,7 +187,7 @@ def _norm_bisection(pred: Callable[[float], bool], tol: float,
             it += 1
             if hi > _LAMBDA_CAP:
                 return INF, (lo, INF), it
-    while it < max_iter and hi - lo > tol * max(1.0, hi):
+    while it < max_iter and hi - lo > tol * max(unit, hi):
         mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
         if not lo < mid < hi:
             mid = 0.5 * (lo + hi)
@@ -186,71 +200,123 @@ def _norm_bisection(pred: Callable[[float], bool], tol: float,
 
 
 def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
-                           tol: float = DEFAULT_TOL) -> float:
-    """Luxemburg (semi)norm of X under one prior; closed forms when exact."""
+                           tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER,
+                           with_steps: bool = False):
+    """Luxemburg (semi)norm of X under one prior.
+
+    Uses phi's closed form when it has one. Otherwise it bisects the norm
+    of |X| / max|X| to a bracket tol / 2 * max(1, hi) wide in the units of
+    X and scales back (exact by homogeneity; it keeps lam far from the
+    float range's ends). With `with_steps` it returns (value, steps).
+    """
+    _check_tol(tol)
     abs_x = np.abs(np.asarray(x, dtype=float))
     pos = prior > 0.0
-    if not np.any(pos) or not np.any(abs_x[pos] > 0):
-        return 0.0
-    if isinstance(phi, Power):
-        return float(np.dot(prior[pos], abs_x[pos] ** phi.p) ** (1.0 / phi.p))
-    if isinstance(phi, EssSupIndicator):
-        return float(np.max(abs_x[pos]))
-    if isinstance(phi, Scaled) and isinstance(phi.inner, Power):
-        p, d = phi.inner.p, phi.one_plus_gamma
-        base = float(np.dot(prior[pos], abs_x[pos] ** p) ** (1.0 / p))
-        return phi.theta * base / d ** (1.0 / p)
-    if isinstance(phi, Scaled) and isinstance(phi.inner, EssSupIndicator):
-        return phi.theta * float(np.max(abs_x[pos]))
-    value, _, _ = _norm_bisection(
-        lambda lam: single_prior_modular(prior, phi, abs_x, lam) <= 1.0,
-        tol, MAX_ITER)
-    return value
+    a = abs_x[pos]
+    top = float(np.max(a)) if a.size else 0.0
+    value, steps = 0.0, 0
+    if top == INF:
+        value = INF
+    elif top > 0.0:
+        value = phi.luxemburg_closed_form(prior[pos], a)
+        if value is not None and not 0.0 < value < INF:
+            # the closed form over- or underflowed on |X| itself
+            value = top * phi.luxemburg_closed_form(prior[pos], a / top)
+        elif value is None:
+            y = np.zeros_like(abs_x)
+            y[pos] = a / top
+            lam, _, steps = _norm_bisection(
+                lambda lam: single_prior_modular(prior, phi, y, lam) <= 1.0,
+                tol / 2.0, max_iter, scale=top)
+            value = top * lam
+    return (value, steps) if with_steps else value
+
+
+def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamily,
+                    tol: float = DEFAULT_TOL,
+                    max_iter: int = MAX_ITER) -> Tuple[float, Dict[str, float], int]:
+    """sup_P ||X||_P for a canonical |X|: returns the sup, the per-prior
+    norms, and the bisection steps of the prior attaining the sup."""
+    per_prior: Dict[str, float] = {}
+    best, best_steps = 0.0, 0
+    for label, prior in zip(model.prior_labels, model.priors):
+        value, steps = single_prior_luxemburg(prior, family.phi(label), abs_x, tol,
+                                              max_iter, with_steps=True)
+        per_prior[label] = value
+        if value > best:
+            best, best_steps = value, steps
+    return best, per_prior, best_steps
+
+
+def _certify(model: ScenarioModel, abs_x: np.ndarray, value: float, delta: float,
+             phis: Mapping[str, OrliczFunction], offsets: Mapping[str, float],
+             first: str) -> Tuple[tuple, float]:
+    """Certify value = inf{lam : M(lam) <= 1} within delta, where
+    M(lam) = sup_P (E_P[phi_P(|X|/lam)] - offset_P): M <= 1 at value +
+    delta and M > 1 at value - delta if positive; 0 only for |X| = 0 on
+    the support; inf by M > 1 at 2**1023. Returns (bracket, M at its upper
+    end) or raises ConsistencyError. Prior `first` is tried first where
+    one prior above 1 settles the check.
+    """
+    pairs = list(zip(model.prior_labels, model.priors))
+    pairs.insert(0, pairs.pop(model.prior_labels.index(first)))
+
+    def joint(lam: float, stop_above_one: bool) -> float:
+        best = -INF
+        for label, prior in pairs:
+            m = single_prior_modular(prior, phis[label], abs_x, lam)
+            best = max(best, m - offsets[label])
+            if stop_above_one and best > 1.0:
+                break
+        return best
+
+    if value == 0.0:
+        if np.any(abs_x > 0.0):
+            raise ConsistencyError("norm 0 reported for a variable nonzero on the support")
+        return (0.0, 0.0), 0.0
+    if value == INF:
+        at_cap = joint(_LAMBDA_CAP, True)
+        if not at_cap > 1.0:
+            raise ConsistencyError(
+                f"norm inf reported but the joint modular is {at_cap!r} <= 1 at {_LAMBDA_CAP!r}")
+        return (_LAMBDA_CAP, INF), INF
+    lo, hi = value - delta, value + delta
+    at_hi = joint(hi, False)
+    if not at_hi <= 1.0:
+        raise ConsistencyError(
+            f"joint modular {at_hi!r} > 1 at {hi!r}, above the sup of "
+            f"per-prior norms {value!r}")
+    if lo > 0.0:
+        at_lo = joint(lo, True)
+        if not at_lo > 1.0:
+            raise ConsistencyError(
+                f"joint modular {at_lo!r} <= 1 at {lo!r}, below the sup of "
+                f"per-prior norms {value!r}")
+    return (max(lo, 0.0), hi), at_hi
+
+
+def _argmax(values: Mapping[str, float]) -> str:
+    return max(values, key=values.__getitem__)
 
 
 def luxemburg_norm(model: ScenarioModel, x, family: OrliczFamily,
-                   tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER,
-                   check_consistency: bool = True) -> NormResult:
+                   tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> NormResult:
     """Robust Luxemburg norm with per-prior breakdown.
 
-    The sup of the per-prior norms must agree with the joint bisection
-    value within 2 * tol; a violation raises ConsistencyError, since the
-    two expressions are definitionally equal.
+    The value is the sup of the per-prior norms, certified on the joint
+    modular: it must be <= 1 at value + 0.45 tol max(1, value) and > 1 at
+    value - 0.45 tol max(1, value), or ConsistencyError is raised, since
+    the two expressions are definitionally equal. `max_iter` bounds each
+    single-prior bisection.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
     family.check_model(model)
     abs_x = np.abs(canonicalise(model, x).values)
-
-    def pred(lam: float) -> bool:
-        for label, prior in zip(model.prior_labels, model.priors):
-            if single_prior_modular(prior, family.phi(label), abs_x, lam) > 1.0:
-                return False
-        return True
-
-    value, bracket, iters = _norm_bisection(pred, tol, max_iter)
-    per_prior = {
-        label: single_prior_luxemburg(prior, family.phi(label), abs_x, tol)
-        for label, prior in zip(model.prior_labels, model.priors)
-    }
-    if value == INF:
-        mod_at = INF
-    elif value == 0.0:
-        mod_at = 0.0
-    else:
-        mod_at = modular(model, abs_x, bracket[1], family)
-    if check_consistency:
-        sup_pp = max(per_prior.values())
-        if value == INF or sup_pp == INF:
-            ok = value == sup_pp
-        else:
-            ok = abs(value - sup_pp) <= 2.0 * tol * max(1.0, value, sup_pp)
-        if not ok:
-            raise ConsistencyError(
-                f"joint bisection value {value!r} disagrees with sup of "
-                f"per-prior norms {sup_pp!r}")
+    value, per_prior, steps = sup_prior_norms(model, abs_x, family, tol, max_iter)
+    bracket, mod_at = _certify(
+        model, abs_x, value, _CERT_HALF_WIDTH * tol * max(1.0, value),
+        family.functions, dict.fromkeys(model.prior_labels, 0.0), _argmax(per_prior))
     return NormResult(value=value, bracket=bracket, modular_at_value=mod_at,
-                      iterations=iters, per_prior_norms=per_prior)
+                      iterations=steps, per_prior_norms=per_prior)
 
 
 def penalised_norm(model: ScenarioModel, x, phi: OrliczFunction,
@@ -258,35 +324,21 @@ def penalised_norm(model: ScenarioModel, x, phi: OrliczFunction,
                    max_iter: int = MAX_ITER) -> NormResult:
     """inf{lam : sup_P (E_P[phi(|X|/lam)] - gamma(P)) <= 1}.
 
-    Cross-checked against the equivalent family phi_P = phi / (1 + gamma_P).
+    Equal to the robust norm of the family phi_P = phi / (1 + gamma_P),
+    whose result is returned after certifying its value v on the
+    penalised modular itself at v -+ 2 tol max(1, v).
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
     _check_labels(model, gamma, "gamma")
-    if any(float(g) < 0 for g in gamma.values()):
+    if not all(float(g) >= 0 for g in gamma.values()):
         raise ValidationError("penalties must be nonnegative")
     abs_x = np.abs(canonicalise(model, x).values)
-
-    def pred(lam: float) -> bool:
-        for label, prior in zip(model.prior_labels, model.priors):
-            m = single_prior_modular(prior, phi, abs_x, lam)
-            if m - float(gamma[label]) > 1.0:
-                return False
-        return True
-
-    value, bracket, iters = _norm_bisection(pred, tol, max_iter)
     family = OrliczFamily.additively_penalised(model, phi, gamma)
-    cross = luxemburg_norm(model, abs_x, family, tol=tol, max_iter=max_iter)
-    if value == INF or cross.value == INF:
-        ok = value == cross.value
-    else:
-        ok = abs(value - cross.value) <= 4.0 * tol * max(1.0, value)
-    if not ok:
-        raise ConsistencyError(
-            f"penalised norm {value!r} disagrees with scaled-family norm {cross.value!r}")
-    return NormResult(value=value, bracket=bracket,
-                      modular_at_value=cross.modular_at_value,
-                      iterations=iters, per_prior_norms=cross.per_prior_norms)
+    res = luxemburg_norm(model, abs_x, family, tol=tol, max_iter=max_iter)
+    _certify(model, abs_x, res.value, 2.0 * tol * max(1.0, res.value),
+             dict.fromkeys(model.prior_labels, phi),
+             {l: float(gamma[l]) for l in model.prior_labels},
+             _argmax(res.per_prior_norms))
+    return res
 
 
 def weighted_lp_norm(model: ScenarioModel, x, p: float,

@@ -38,8 +38,14 @@ class OrliczFunction:
     """Base class. Subclasses implement `_eval_array` and `domain_bound`.
 
     `conjugate` and `right_derivative` have numeric fallbacks here and are
-    overridden with closed forms where those exist.
+    overridden with closed forms where those exist; so is
+    `luxemburg_closed_form`, whose fallback (None) sends the single-prior
+    norm to bisection.
     """
+
+    #: d with phi(t x) = t**d phi(x) for all t > 0 (inf for a 0/inf
+    #: indicator), or None when phi is not positively homogeneous
+    homogeneity_degree: Optional[float] = None
 
     @property
     def domain_bound(self) -> float:
@@ -48,6 +54,12 @@ class OrliczFunction:
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def luxemburg_closed_form(self, weights: np.ndarray,
+                              abs_x: np.ndarray) -> Optional[float]:
+        """inf{lam > 0 : sum weights * phi(abs_x / lam) <= 1} in closed
+        form, or None; `weights` are a prior's positive masses."""
+        return None
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -161,16 +173,23 @@ class Power(OrliczFunction):
     p: float
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ValidationError("Power exponent must satisfy p >= 1")
+        if not (math.isfinite(self.p) and self.p >= 1.0):
+            raise ValidationError("Power exponent must be finite with p >= 1")
 
     @property
     def domain_bound(self) -> float:
         return INF
 
+    @property
+    def homogeneity_degree(self) -> float:
+        return self.p
+
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             return x ** self.p
+
+    def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray) -> float:
+        return float(np.dot(weights, abs_x ** self.p) ** (1.0 / self.p))
 
     def conjugate(self, y: float) -> float:
         if y < 0:
@@ -200,8 +219,8 @@ class Exponential(OrliczFunction):
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValidationError("Exponential rate must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise ValidationError("Exponential rate must be finite and positive")
 
     @property
     def domain_bound(self) -> float:
@@ -234,12 +253,17 @@ class Exponential(OrliczFunction):
 class EssSupIndicator(OrliczFunction):
     """phi(x) = inf * 1_{(1, inf)}(x); its Luxemburg norm is the ess-sup."""
 
+    homogeneity_degree = INF
+
     @property
     def domain_bound(self) -> float:
         return 1.0
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         return np.where(x <= 1.0, 0.0, INF)
+
+    def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray) -> float:
+        return float(np.max(abs_x))
 
     def conjugate(self, y: float) -> float:
         if y < 0:
@@ -348,15 +372,28 @@ class Scaled(OrliczFunction):
     def __post_init__(self):
         if self.theta <= 0.0 or not math.isfinite(self.theta):
             raise ValidationError("theta must be finite and positive")
-        if self.one_plus_gamma < 1.0:
+        if not self.one_plus_gamma >= 1.0:
             raise ValidationError("additive divisor must satisfy 1 + gamma >= 1")
 
     @property
     def domain_bound(self) -> float:
         return self.inner.domain_bound / self.theta
 
+    @property
+    def homogeneity_degree(self) -> Optional[float]:
+        return self.inner.homogeneity_degree
+
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         return self.inner._eval_array(self.theta * x) / self.one_plus_gamma
+
+    def luxemburg_closed_form(self, weights: np.ndarray,
+                              abs_x: np.ndarray) -> Optional[float]:
+        # dividing a degree-d function by c divides its norm by c**(1/d)
+        base = self.inner.luxemburg_closed_form(weights, abs_x)
+        degree = self.inner.homogeneity_degree
+        if base is None or degree is None:
+            return None
+        return self.theta * base / self.one_plus_gamma ** (1.0 / degree)
 
     def conjugate(self, y: float) -> float:
         # sup x*y - inner(theta x)/d  =  inner*(d*y/theta) / d

@@ -10,8 +10,8 @@ normalisation u(-1) = -1 pins phi_P(1) <= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 

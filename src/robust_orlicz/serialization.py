@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Sequence
+from typing import Any, Dict
 
 from .errors import ValidationError
 from .model import ScenarioModel

@@ -10,15 +10,14 @@ independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConsistencyError, ValidationError
-from .model import RandomVariable, ScenarioModel, canonicalise
-from .norms import DEFAULT_TOL, OrliczFamily, single_prior_luxemburg
+from .model import ScenarioModel, canonicalise
+from .norms import DEFAULT_TOL, OrliczFamily, sup_prior_norms
 from .scalar import golden_section_min
 
 INF = math.inf
@@ -50,12 +49,6 @@ def option_basis(model: ScenarioModel, x) -> OptionBasis:
         vectors.append(np.where(support, np.maximum(xc - k, 0.0), 0.0))
     return OptionBasis(claim=xc, strikes=strikes,
                        vectors=np.array(vectors), dimension=len(distinct))
-
-
-def _robust_norm_value(model: ScenarioModel, family: OrliczFamily,
-                       abs_r: np.ndarray, tol: float) -> float:
-    return max(single_prior_luxemburg(prior, family.phi(label), abs_r, tol=tol)
-               for label, prior in zip(model.prior_labels, model.priors))
 
 
 def _coordinate_descent(objective, a0: np.ndarray, tol: float,
@@ -123,14 +116,16 @@ def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
     zero) are tried alongside random restarts; all runs must land within
     a small neighbourhood of the best value, which is asserted.
     """
+    from scipy import optimize
+
     family.check_model(model)
     yc = canonicalise(model, y).values
     B = basis.vectors
-    if _robust_norm_value(model, family, np.abs(yc), tol) == INF:
+    if sup_prior_norms(model, np.abs(yc), family, tol)[0] == INF:
         raise ValidationError("projection target has infinite norm")
 
     def objective(a: np.ndarray) -> float:
-        return _robust_norm_value(model, family, np.abs(yc - a @ B), tol)
+        return sup_prior_norms(model, np.abs(yc - a @ B), family, tol)[0]
 
     support = model.support_mask
     starts: List[np.ndarray] = []

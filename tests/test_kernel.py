@@ -1,0 +1,156 @@
+"""The robust-norm kernel: sup of per-prior norms, certified on the joint
+modular; closed forms on the Orlicz classes; exact order collapse."""
+
+import math
+
+import numpy as np
+import pytest
+
+from robust_orlicz import (ConsistencyError, EssSupIndicator, Exponential,
+                           OrliczFamily, Power, Scaled, ScenarioModel,
+                           dominating_measure, luxemburg_norm, modular,
+                           penalised_norm, qs_order, single_prior_luxemburg)
+from robust_orlicz import norms
+
+from conftest import random_family, random_model, random_prior, random_x
+
+INF = math.inf
+TOL = 1e-10
+
+
+def _skewed_power(p, factor):
+    """Power(p) whose closed-form norm is off by `factor`."""
+    class SkewedPower(Power):
+        def luxemburg_closed_form(self, weights, abs_x):
+            return factor * super().luxemburg_closed_form(weights, abs_x)
+    return SkewedPower(p)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("factor", [1.01, 0.99])
+    def test_wrong_closed_form_raises(self, factor):
+        m = ScenarioModel(["a", "b", "c"], [[0.2, 0.3, 0.5], [0.5, 0.5, 0.0]])
+        x = [1.0, -2.0, 3.0]
+        fam = OrliczFamily({"P1": _skewed_power(2.0, factor), "P2": Power(2.0)})
+        with pytest.raises(ConsistencyError):
+            luxemburg_norm(m, x, fam)
+        with pytest.raises(ConsistencyError):
+            penalised_norm(m, x, _skewed_power(2.0, factor), {"P1": 0.5, "P2": 0.0})
+
+    @pytest.mark.parametrize("factor", [1.01, 0.99])
+    def test_wrong_bisection_raises(self, monkeypatch, factor):
+        bisection = norms._norm_bisection
+
+        def skewed(*args, **kwargs):
+            value, bracket, steps = bisection(*args, **kwargs)
+            return factor * value, bracket, steps
+
+        monkeypatch.setattr(norms, "_norm_bisection", skewed)
+        m = ScenarioModel(["a", "b"], [[0.5, 0.5]])
+        with pytest.raises(ConsistencyError):
+            luxemburg_norm(m, [1.0, 2.0], OrliczFamily.uniform(m, Exponential(1.0)))
+
+    def test_bracket_certifies_value_on_random_instances(self, rng):
+        for _ in range(200):
+            m = random_model(rng)
+            fam = random_family(rng, m)
+            x = random_x(rng, m.n_atoms)
+            res = luxemburg_norm(m, x, fam)
+            lo, hi = res.bracket
+            assert res.value == max(res.per_prior_norms.values())
+            if res.value == INF:
+                assert modular(m, x, lo, fam) > 1.0
+                continue
+            assert lo <= res.value <= hi
+            assert hi - lo <= TOL * max(1.0, hi)
+            assert modular(m, x, hi, fam) <= 1.0
+            assert res.modular_at_value == modular(m, x, hi, fam)
+            if lo > 0:
+                assert modular(m, x, lo, fam) > 1.0
+
+    def test_zero_exactly_when_zero_on_support(self):
+        m = ScenarioModel(["a", "b", "c"], [[0.5, 0.5, 0.0]])
+        fam = OrliczFamily.uniform(m, Exponential(1.0))
+        res = luxemburg_norm(m, [0.0, 0.0, 5.0], fam)
+        assert res.value == 0.0 and res.bracket == (0.0, 0.0)
+        assert luxemburg_norm(m, [1e-300, 0.0, 0.0], fam).value > 0.0
+        assert luxemburg_norm(m, [1e-200, 0.0, 0.0], OrliczFamily.uniform(m, Power(2))).value > 0.0
+
+    def test_iterations_are_the_maximisers_bisection_steps(self):
+        m = ScenarioModel(["a", "b"], [[0.5, 0.5], [1.0, 0.0]])
+        closed = luxemburg_norm(m, [1.0, 2.0], OrliczFamily.uniform(m, Power(3)))
+        assert closed.iterations == 0
+        bisected = luxemburg_norm(m, [1.0, 2.0], OrliczFamily.uniform(m, Exponential(1.0)))
+        assert bisected.iterations > 0
+
+    def test_penalised_is_scaled_family_value(self, rng):
+        for _ in range(30):
+            m = random_model(rng)
+            phi = Exponential(float(rng.uniform(0.5, 2.0)))
+            gamma = {l: float(rng.uniform(0.0, 2.0)) for l in m.prior_labels}
+            x = random_x(rng, m.n_atoms)
+            pen = penalised_norm(m, x, phi, gamma)
+            fam = OrliczFamily.additively_penalised(m, phi, gamma)
+            assert pen.value == luxemburg_norm(m, x, fam).value
+
+
+class TestClosedForms:
+    def test_bit_identical_to_masked_numpy(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            prior = random_prior(rng, n)
+            x = random_x(rng, n)
+            p = float(rng.uniform(1.0, 5.0))
+            theta = float(rng.uniform(0.5, 2.0))
+            d = 1.0 + float(rng.uniform(0.0, 2.0))
+            pos = prior > 0.0
+            abs_x = np.abs(x)
+            if not np.any(abs_x[pos] > 0):
+                continue
+            base = float(np.dot(prior[pos], abs_x[pos] ** p) ** (1.0 / p))
+            top = float(np.max(abs_x[pos]))
+            assert single_prior_luxemburg(prior, Power(p), x) == base
+            assert (single_prior_luxemburg(prior, Scaled(Power(p), theta, d), x)
+                    == theta * base / d ** (1.0 / p))
+            assert single_prior_luxemburg(prior, EssSupIndicator(), x) == top
+            assert (single_prior_luxemburg(prior, Scaled(EssSupIndicator(), theta, d), x)
+                    == theta * top)
+
+    def test_nested_scaling_matches_bisection(self):
+        prior = np.array([0.25, 0.75])
+        x = np.array([1.0, 2.0])
+        phi = Scaled(Scaled(Power(2.5), 2.0, 3.0), 0.5, 1.5)
+        assert phi.luxemburg_closed_form(prior, x) is not None
+        m = ScenarioModel(["a", "b"], [prior])
+        fam = OrliczFamily.uniform(m, phi)
+        closed = luxemburg_norm(m, x, fam).value
+        lam = closed * (1 + 1e-9)
+        assert modular(m, x, lam, fam) <= 1.0 < modular(m, x, closed * (1 - 1e-9), fam)
+
+    def test_no_closed_form_without_homogeneity(self):
+        phi = Scaled(Exponential(1.0), 2.0, 1.5)
+        assert phi.luxemburg_closed_form(np.array([1.0]), np.array([1.0])) is None
+
+
+class TestDomination:
+    def test_support_mask_matches_stacked_priors(self, rng):
+        for _ in range(20):
+            m = random_model(rng)
+            ref = np.max(np.stack(m.priors), axis=0) > 0.0
+            assert np.array_equal(m.support_mask, ref)
+            assert not m.support_mask.flags.writeable
+
+    def test_order_collapse_is_exact(self, rng):
+        for _ in range(30):
+            m = random_model(rng)
+            fam = random_family(rng, m)
+            rep = dominating_measure(m, fam)
+            assert rep.order_collapse == rep.strict_positivity
+            assert rep.order_pairs_checked == 0
+            charged = rep.pstar.masses > 0.0
+            for _ in range(20):
+                x = rng.normal(size=m.n_atoms)
+                y = x + rng.choice([0.0, 1.0], size=m.n_atoms) * np.abs(
+                    rng.normal(size=m.n_atoms))
+                qs = qs_order(m, x, y) in ("le", "eq")
+                assert qs == bool(np.all(x[charged] <= y[charged]))
