@@ -2,10 +2,12 @@
 
 The norm is inf{lam > 0 : sup_P E_P[phi_P(|X|/lam)] <= 1}, which equals
 the sup of the single-prior norms. It is computed as that sup, each
-single-prior norm in closed form or by bracketing and bisection on
-log(lam) (the modular is monotone in lam but may jump, as for the ess-sup
-indicator, so derivative-free bracketing is the only safe strategy), and
-certified on the joint modular at the two ends of a small bracket.
+single-prior norm in closed form or by bracketed root-finding on
+log(lam) to a relative width tol / 2 (the modular is monotone in lam but
+may jump or vanish, as at a domain bound or below a first breakpoint, so
+every step stays inside a bracket and falls back to the geometric
+midpoint), and certified on the joint modular at the two ends of a small
+bracket.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ DEFAULT_TOL = 1e-10
 MAX_ITER = 200
 _LAMBDA_CAP = 2.0 ** 1023
 _LAMBDA_FLOOR = 1e-300
+# |log2| of the magnitudes a closed form may raise |X| to: past it, the
+# closed form is taken on |X| / max|X| (2**1000 is inside the float range)
+_EXP_RANGE = 1000.0
 # half-width of the certified bracket in units of tol * max(1, value): the
 # single-prior norms are within tol / 4 of theirs, so its ends straddle
 # the norm with a margin, and it is narrower than tol
@@ -106,8 +111,8 @@ class NormResult:
     lies in it; it is (0, 0) for a variable that vanishes on the support
     and (2**1023, inf) for an infinite norm. `modular_at_value` is the
     joint modular at bracket[1] (inf for an infinite norm). `iterations`
-    counts the bisection steps of the single-prior norm that attains the
-    sup (0 for a closed form).
+    counts the root-finder steps of the single-prior norm that attains
+    the sup (0 for a closed form).
     """
 
     value: float
@@ -162,40 +167,76 @@ def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily) -> float:
 # -- norms ----------------------------------------------------------------
 
 
-def _norm_bisection(pred: Callable[[float], bool], tol: float,
-                    max_iter: int, scale: float = 1.0) -> tuple:
-    """inf of the (upward-closed) set {lam : pred(lam)}.
+def _norm_bisection(mod: Callable[[float], float], tol: float,
+                    max_iter: int) -> tuple:
+    """inf{lam > 0 : mod(lam) <= 1} for a nonincreasing modular `mod`.
 
-    Stops once hi - lo <= tol * max(1 / scale, hi), which is the width
-    bound tol * max(1, hi) in the units of scale * lam, without forming
-    scale * hi (it may overflow).
-    Returns (value, (lo, hi), iterations); value may be 0.0 or inf.
+    Brackets the root by halving or doubling lam from 1, then narrows the
+    bracket [lo, hi] (mod(lo) > 1 >= mod(hi)) until hi - lo <= tol * hi,
+    by Illinois regula falsi on (log lam, log mod). Each step lands at
+    least tol * hi / 2 inside the bracket, so an estimate at the root
+    closes the bracket from the far side. The step is the geometric
+    midpoint instead while an end's modular is 0 or inf (no secant
+    through it: a zero region, a domain bound, a jump) and after two
+    steps in a row that moved the same end without halving log(hi / lo),
+    which keeps the worst case near bisection's step count.
+    Returns (value, (lo, hi), steps); value may be 0.0 or inf.
     """
-    unit = 1.0 / scale
     it = 0
-    if pred(1.0):
-        hi, lo = 1.0, 0.5
-        while pred(lo):
-            hi, lo = lo, lo / 2.0
+    m = mod(1.0)
+    if m <= 1.0:
+        hi, m_hi, lo = 1.0, m, 0.5
+        m_lo = mod(lo)
+        while m_lo <= 1.0:
+            hi, m_hi, lo = lo, m_lo, lo / 2.0
             it += 1
             if lo < _LAMBDA_FLOOR:
                 return 0.0, (0.0, hi), it
+            m_lo = mod(lo)
     else:
-        lo, hi = 1.0, 2.0
-        while not pred(hi):
-            lo, hi = hi, hi * 2.0
+        lo, m_lo, hi = 1.0, m, 2.0
+        m_hi = mod(hi)
+        while m_hi > 1.0:
+            lo, m_lo, hi = hi, m_hi, hi * 2.0
             it += 1
             if hi > _LAMBDA_CAP:
                 return INF, (lo, INF), it
-    while it < max_iter and hi - lo > tol * max(unit, hi):
-        mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
+            m_hi = mod(hi)
+    # Illinois weights: the log modular at each end, halved at an end
+    # that two steps in a row kept
+    f_lo = math.log(m_lo) if m_lo < INF else None
+    f_hi = math.log(m_hi) if m_hi > 0.0 else None
+    last_hi, slow = None, 0
+    width = math.log(hi / lo)
+    while it < max_iter and hi - lo > tol * hi:
+        if slow >= 2 or f_lo is None or f_hi is None:
+            c = math.sqrt(lo) * math.sqrt(hi)
         else:
-            lo = mid
+            # log mod is about linear in log lam: the root sits a share
+            # f_hi / (f_hi - f_lo) of the log-width below hi
+            c = hi * (lo / hi) ** (f_hi / (f_hi - f_lo))
+            c = min(max(c, lo + 0.5 * tol * hi), hi - 0.5 * tol * hi)
+        if not lo < c < hi:
+            c = 0.5 * (lo + hi)
+            if not lo < c < hi:
+                break
+        m = mod(c)
         it += 1
+        moved_hi = m <= 1.0
+        if moved_hi:
+            hi = c
+            f_hi = math.log(m) if m > 0.0 else None
+            if last_hi and f_lo is not None:
+                f_lo /= 2.0
+        else:
+            lo = c
+            f_lo = math.log(m) if m < INF else None
+            if last_hi is False and f_hi is not None:
+                f_hi /= 2.0
+        # a slow step: the same end moved again and log(hi / lo) did not halve
+        new_width = math.log(hi / lo)
+        slow = slow + 1 if moved_hi == last_hi and new_width > 0.5 * width else 0
+        last_hi, width = moved_hi, new_width
     return 0.5 * (lo + hi), (lo, hi), it
 
 
@@ -204,10 +245,12 @@ def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
                            with_steps: bool = False):
     """Luxemburg (semi)norm of X under one prior.
 
-    Uses phi's closed form when it has one. Otherwise it bisects the norm
-    of |X| / max|X| to a bracket tol / 2 * max(1, hi) wide in the units of
-    X and scales back (exact by homogeneity; it keeps lam far from the
-    float range's ends). With `with_steps` it returns (value, steps).
+    Uses phi's closed form when it has one. Otherwise it finds the norm
+    of |X| / max|X| by bracketed root-finding (`_norm_bisection`) to a
+    bracket [lo, hi] with hi - lo <= tol / 2 * hi and scales back (exact
+    by homogeneity, so the relative accuracy is the same at every scale;
+    it keeps lam far from the float range's ends). With `with_steps` it
+    returns (value, steps).
     """
     _check_tol(tol)
     abs_x = np.abs(np.asarray(x, dtype=float))
@@ -218,16 +261,19 @@ def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
     if top == INF:
         value = INF
     elif top > 0.0:
-        value = phi.luxemburg_closed_form(prior[pos], a)
-        if value is not None and not 0.0 < value < INF:
-            # the closed form over- or underflowed on |X| itself
+        degree = phi.homogeneity_degree
+        if degree is not None and degree < INF and abs(degree * math.log2(top)) > _EXP_RANGE:
+            # |X|**degree would leave the float range: take the closed form
+            # of |X| / max|X| and scale back (exact by homogeneity)
             value = top * phi.luxemburg_closed_form(prior[pos], a / top)
-        elif value is None:
+        else:
+            value = phi.luxemburg_closed_form(prior[pos], a)
+        if value is None:
             y = np.zeros_like(abs_x)
             y[pos] = a / top
             lam, _, steps = _norm_bisection(
-                lambda lam: single_prior_modular(prior, phi, y, lam) <= 1.0,
-                tol / 2.0, max_iter, scale=top)
+                lambda lam: single_prior_modular(prior, phi, y, lam),
+                tol / 2.0, max_iter)
             value = top * lam
     return (value, steps) if with_steps else value
 
@@ -236,7 +282,7 @@ def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamil
                     tol: float = DEFAULT_TOL,
                     max_iter: int = MAX_ITER) -> Tuple[float, Dict[str, float], int]:
     """sup_P ||X||_P for a canonical |X|: returns the sup, the per-prior
-    norms, and the bisection steps of the prior attaining the sup."""
+    norms, and the root-finder steps of the prior attaining the sup."""
     per_prior: Dict[str, float] = {}
     best, best_steps = 0.0, 0
     for label, prior in zip(model.prior_labels, model.priors):
@@ -307,7 +353,7 @@ def luxemburg_norm(model: ScenarioModel, x, family: OrliczFamily,
     modular: it must be <= 1 at value + 0.45 tol max(1, value) and > 1 at
     value - 0.45 tol max(1, value), or ConsistencyError is raised, since
     the two expressions are definitionally equal. `max_iter` bounds each
-    single-prior bisection.
+    single-prior root-finder.
     """
     family.check_model(model)
     abs_x = np.abs(canonicalise(model, x).values)

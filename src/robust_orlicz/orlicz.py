@@ -39,8 +39,8 @@ class OrliczFunction:
 
     `conjugate` and `right_derivative` have numeric fallbacks here and are
     overridden with closed forms where those exist; so is
-    `luxemburg_closed_form`, whose fallback (None) sends the single-prior
-    norm to bisection.
+    `luxemburg_closed_form`, whose fallback returns None (the single-prior
+    norm then goes to bracketed root-finding) except at a domain bound.
     """
 
     #: d with phi(t x) = t**d phi(x) for all t > 0 (inf for a 0/inf
@@ -58,8 +58,19 @@ class OrliczFunction:
     def luxemburg_closed_form(self, weights: np.ndarray,
                               abs_x: np.ndarray) -> Optional[float]:
         """inf{lam > 0 : sum weights * phi(abs_x / lam) <= 1} in closed
-        form, or None; `weights` are a prior's positive masses."""
-        return None
+        form, or None; `weights` are a prior's positive masses and abs_x
+        is not all 0.
+
+        The fallback covers a finite domain bound b: below max abs_x / b
+        some abs_x / lam lies past b, where phi is inf, so that is the
+        norm when the sum is <= 1 there.
+        """
+        bound = self.domain_bound
+        if math.isinf(bound):
+            return None
+        top = float(np.max(abs_x))
+        at_bound = self._eval_array(np.minimum(abs_x / top * bound, bound))
+        return top / bound if float(np.dot(weights, at_bound)) <= 1.0 else None
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -129,6 +140,11 @@ class OrliczFunction:
         if math.isfinite(bound) and self(bound) < 1.0:
             x1 = bound
             a = (self(x1) + 1.0) / x1
+            # the line through (x1, phi(x1)) stays below phi only if it is
+            # at least as steep as phi just left of x1
+            left = self.right_derivative(x1 * (1.0 - 1e-12))
+            if left < INF:
+                a = max(a, left)
         else:
             hi = min(1.0, bound / 2.0) if math.isfinite(bound) else 1.0
             while self(hi) < 1.0:
@@ -197,14 +213,18 @@ class Power(OrliczFunction):
         if self.p == 1.0:
             return 0.0 if y <= 1.0 else INF
         q = self.p / (self.p - 1.0)
-        return (self.p - 1.0) * self.p ** (-q) * y ** q
+        try:
+            return (self.p - 1.0) * self.p ** (-q) * y ** q
+        except OverflowError:
+            return INF
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         if self.p == 1.0:
             return np.where(ys <= 1.0, 0.0, INF)
         q = self.p / (self.p - 1.0)
-        return (self.p - 1.0) * self.p ** (-q) * ys ** q
+        with np.errstate(over="ignore"):
+            return (self.p - 1.0) * self.p ** (-q) * ys ** q
 
     def right_derivative(self, x: float) -> float:
         if self.p == 1.0:
@@ -298,12 +318,18 @@ class PiecewiseLinear(OrliczFunction):
         sl = tuple(float(s) for s in slopes)
         if len(bp) != len(sl) or not bp:
             raise ValidationError("need equally many breakpoints and slopes")
+        if not all(map(math.isfinite, bp)):
+            raise ValidationError("breakpoints must be finite")
+        if not all(map(math.isfinite, sl)):
+            raise ValidationError("slopes must be finite")
         if any(b < 0 for b in bp) or any(x >= y for x, y in zip(bp, bp[1:])):
             raise ValidationError("breakpoints must be ascending and nonnegative")
         if any(s < 0 for s in sl) or any(x > y for x, y in zip(sl, sl[1:])):
             raise ValidationError("slopes must be nondecreasing and nonnegative (convexity)")
         if bound is not None:
             bound = float(bound)
+            if not math.isfinite(bound):
+                raise ValidationError("domain bound must be finite (omit it for no bound)")
             if bound <= 0 or bound < bp[-1]:
                 raise ValidationError("domain bound must be positive and beyond the last breakpoint")
         object.__setattr__(self, "breakpoints", bp)
@@ -389,10 +415,10 @@ class Scaled(OrliczFunction):
     def luxemburg_closed_form(self, weights: np.ndarray,
                               abs_x: np.ndarray) -> Optional[float]:
         # dividing a degree-d function by c divides its norm by c**(1/d)
-        base = self.inner.luxemburg_closed_form(weights, abs_x)
         degree = self.inner.homogeneity_degree
-        if base is None or degree is None:
-            return None
+        base = None if degree is None else self.inner.luxemburg_closed_form(weights, abs_x)
+        if base is None:
+            return super().luxemburg_closed_form(weights, abs_x)
         return self.theta * base / self.one_plus_gamma ** (1.0 / degree)
 
     def conjugate(self, y: float) -> float:

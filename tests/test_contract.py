@@ -6,13 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robust_orlicz import (Exponential, OrliczFamily, Power, ScenarioModel,
-                           ValidationError, canonicalise, luxemburg_norm,
-                           penalised_norm, single_prior_luxemburg)
+from robust_orlicz import (Exponential, OrliczFamily, PiecewiseLinear, Power,
+                           Scaled, ScenarioModel, ValidationError, canonicalise,
+                           luxemburg_norm, penalised_norm, single_prior_luxemburg)
 from robust_orlicz.cli import main
 
 INF = math.inf
@@ -95,6 +98,66 @@ class TestFloatRange:
         with np.errstate(over="ignore"):
             big = luxemburg_norm(model, 1e200 * x, fam).value
         assert big == pytest.approx(1e200 * base, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-300.0, 300.0), st.floats(0.01, 1.0), st.integers(0, 2))
+    def test_homogeneity_across_scales(self, exponent, ratio, kind):
+        model = ScenarioModel(["a", "b"], [[0.5, 0.5], [1.0, 0.0]])
+        phi = [Exponential(1.0), PiecewiseLinear([0.2, 0.5], [1.0, 3.0]),
+               PiecewiseLinear([0.1], [2.0], bound=3.0)][kind]
+        fam = OrliczFamily.uniform(model, phi)
+        x = np.array([1.0, ratio])
+        c = 10.0 ** exponent
+        base = luxemburg_norm(model, x, fam).value
+        assert luxemburg_norm(model, c * x, fam).value == pytest.approx(c * base, rel=1e-9)
+
+
+class TestPowerOverflow:
+    """Power values past the float range are inf, with no numpy warning."""
+
+    def test_overflow_is_quiet(self, model):
+        fam = OrliczFamily.uniform(model, Power(2.0))
+        base = luxemburg_norm(model, [1.0, 10.0], fam).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = luxemburg_norm(model, [1e200, 1e201], fam).value
+            assert Power(2.0).conjugate_array([1e300])[0] == INF
+            assert Power(2.0).conjugate(1e300) == INF
+            assert Scaled(Power(2.0), 0.5, 1.0).conjugate(1e300) == INF
+        assert big == pytest.approx(1e200 * base, rel=1e-12)
+
+    def test_cli_norm_leaves_stderr_empty(self, tmp_path):
+        mpath, fpath = tmp_path / "m.json", tmp_path / "f.json"
+        mpath.write_text(json.dumps({"atoms": ["a", "b"], "priors": [
+            {"label": "P1", "masses": [0.5, 0.5]}, {"label": "P2", "masses": [1.0, 0.0]}]}))
+        fpath.write_text(json.dumps({"uniform": {"kind": "power", "p": 2}}))
+        out = subprocess.run(
+            [sys.executable, "-m", "robust_orlicz.cli", "norm", "--model", str(mpath),
+             "--family", str(fpath), "--x", "1e200,1e201"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+            timeout=120)
+        assert out.returncode == 0
+        assert out.stderr == ""
+
+
+class TestPiecewiseLinearContract:
+    @pytest.mark.parametrize("bad", [NAN, INF])
+    def test_non_finite_parts_rejected(self, bad):
+        with pytest.raises(ValidationError, match="breakpoints must be finite"):
+            PiecewiseLinear([0.5, bad], [1.0, 2.0])
+        with pytest.raises(ValidationError, match="slopes must be finite"):
+            PiecewiseLinear([0.5, 1.0], [1.0, bad])
+        with pytest.raises(ValidationError, match="bound must be finite"):
+            PiecewiseLinear([0.5], [1.0], bound=bad)
+
+    def test_nan_bound_exits_2(self, tmp_path, capsys):
+        mpath, fpath = tmp_path / "m.json", tmp_path / "f.json"
+        mpath.write_text(json.dumps({"atoms": ["a", "b"],
+                                     "priors": [{"label": "P1", "masses": [0.5, 0.5]}]}))
+        fpath.write_text(json.dumps({"uniform": {"kind": "piecewise_linear", "breakpoints": [0.5],
+                                                 "slopes": [1.0], "bound": NAN}}))
+        assert main(["norm", "--model", str(mpath), "--family", str(fpath), "--x", "1,2"]) == 2
+        assert "bound must be finite" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_out():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from robust_orlicz import (ConsistencyError, EssSupIndicator, Exponential,
-                           OrliczFamily, Power, Scaled, ScenarioModel,
+                           OrliczFamily, PiecewiseLinear, Power, Scaled, ScenarioModel,
                            dominating_measure, luxemburg_norm, modular,
                            penalised_norm, qs_order, single_prior_luxemburg)
 from robust_orlicz import norms
@@ -154,3 +154,73 @@ class TestDomination:
                     rng.normal(size=m.n_atoms))
                 qs = qs_order(m, x, y) in ("le", "eq")
                 assert qs == bool(np.all(x[charged] <= y[charged]))
+
+
+def _geometric_bisection(mod, rel=1e-13):
+    """Reference root of a nonincreasing modular: plain geometric
+    bisection for inf{lam : mod(lam) <= 1} to a relative width `rel`."""
+    lo = hi = 1.0
+    while mod(hi) > 1.0:
+        hi *= 2.0
+    while mod(lo) <= 1.0:
+        lo /= 2.0
+    while hi - lo > rel * hi:
+        mid = math.sqrt(lo * hi)
+        if mod(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class TestRootFinder:
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_few_modular_calls_on_a_dirichlet_prior(self, monkeypatch, beta):
+        rng = np.random.default_rng(3)
+        prior = rng.dirichlet(np.ones(2000))
+        x = rng.normal(size=2000)
+        modular_fn = norms.single_prior_modular
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return modular_fn(*args)
+
+        monkeypatch.setattr(norms, "single_prior_modular", counted)
+        value, steps = single_prior_luxemburg(prior, Exponential(beta), x, with_steps=True)
+        assert steps > 0
+        assert len(calls) <= 12
+        top = float(np.max(np.abs(x)))
+        ref = _geometric_bisection(
+            lambda lam: modular_fn(prior, Exponential(beta), np.abs(x) / top, lam))
+        assert value == pytest.approx(top * ref, rel=1e-9)
+
+    @pytest.mark.parametrize("phi", [
+        PiecewiseLinear([0.5, 1.0], [1.0, 4.0], bound=1.6),  # mod is inf below a point
+        PiecewiseLinear([0.6, 0.9], [2.0, 5.0]),  # mod is 0 above a point
+        Scaled(Exponential(0.7), 1.8, 2.5),
+    ])
+    def test_hard_phi_agrees_with_geometric_bisection(self, rng, phi):
+        steps_taken = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            prior = random_prior(rng, n)
+            x = random_x(rng, n)
+            pos = prior > 0.0
+            top = float(np.max(np.abs(x[pos])))
+            if top == 0.0:
+                continue
+            y = np.abs(x) / top
+
+            def mod(lam):
+                return norms.single_prior_modular(prior, phi, y, lam)
+
+            value, steps = single_prior_luxemburg(prior, phi, x, with_steps=True)
+            assert value == pytest.approx(top * _geometric_bisection(mod), rel=1e-9)
+            if phi.luxemburg_closed_form(prior[pos], y[pos]) is not None:
+                continue
+            steps_taken += steps
+            lam, (lo, hi), _ = norms._norm_bisection(mod, TOL / 2.0, norms.MAX_ITER)
+            assert mod(lo) > 1.0 >= mod(hi)
+            assert lo <= lam <= hi and hi - lo <= TOL / 2.0 * hi
+        assert steps_taken > 0
