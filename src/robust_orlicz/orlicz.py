@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .scalar import bisect_threshold, golden_section_max
+from .scalar import INV_PHI, bisect_threshold
 
 INF = math.inf
 
@@ -37,10 +37,13 @@ class AffineMinorant:
 class OrliczFunction:
     """Base class. Subclasses implement `_eval_array` and `domain_bound`.
 
-    `conjugate` and `right_derivative` have numeric fallbacks here and are
-    overridden with closed forms where those exist; so is
+    `conjugate_array` and `right_derivative` have numeric fallbacks here
+    and are overridden with closed forms where those exist; so is
     `luxemburg_closed_form`, whose fallback returns None (the single-prior
     norm then goes to bracketed root-finding) except at a domain bound.
+    Every `conjugate_array` is vectorised, the numeric fallback included,
+    and keeps the shape of its argument; the scalar `conjugate` is a
+    one-element call of it unless a class has a scalar closed form.
     """
 
     #: d with phi(t x) = t**d phi(x) for all t > 0 (inf for a 0/inf
@@ -82,39 +85,86 @@ class OrliczFunction:
     # -- conjugation ------------------------------------------------------
 
     def conjugate(self, y: float) -> float:
-        """phi*(y) = sup_{x >= 0} (x*y - phi(x)).
-
-        Numeric route: the objective is concave in x, so bracket expansion
-        in powers of 2 followed by golden-section search is safe.
-        """
-        if y < 0:
-            raise ValidationError("conjugate argument must be nonnegative")
-        if y == 0.0:
-            return 0.0
-
-        def g(x: float) -> float:
-            v = self(x)
-            return -INF if v == INF else x * y - v
-
-        bound = self.domain_bound
-        if math.isfinite(bound):
-            hi = bound
-        else:
-            hi = 1.0
-            while hi < _BRACKET_CAP and g(2.0 * hi) >= g(hi):
-                hi *= 2.0
-            if hi >= _BRACKET_CAP and g(hi) > 0:
-                return INF
-            # g is concave: g(2 hi) < g(hi) places the max in [0, 2 hi]
-            hi = min(2.0 * hi, _BRACKET_CAP)
-        _, best = golden_section_max(g, 0.0, hi, tol=1e-12)
-        # lsc value at a finite domain bound is the left limit; include it
-        best = max(best, g(hi), 0.0)
-        return best
+        """phi*(y) = sup_{x >= 0} (x*y - phi(x)) at one point."""
+        return float(self.conjugate_array(y)[0])
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
-        return np.array([self.conjugate(float(v)) for v in ys])
+        """phi* elementwise, every argument at once.
+
+        Numeric route: x*y - phi(x) is concave in x, so bracket expansion
+        in powers of 2 followed by golden-section search is safe. Both run
+        in lockstep over the arguments, each frozen once its own stopping
+        rule holds; the result is the same as one scalar search per
+        argument.
+        """
+        ys = np.array(y, dtype=float, ndmin=1)
+        if (ys < 0).any():
+            raise ValidationError("conjugate argument must be nonnegative")
+        flat = ys.reshape(-1)
+        out = np.zeros(flat.size)
+        pos = flat > 0.0
+        if pos.any():
+            out[pos] = self._conjugate_search(flat[pos])
+        return out.reshape(ys.shape)
+
+    def _g(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x*y - phi(x), -inf where phi(x) is inf."""
+        v = self._eval_array(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(v == INF, -INF, x * y - v)
+
+    def _conjugate_search(self, y: np.ndarray) -> np.ndarray:
+        bound = self.domain_bound
+        infinite = np.zeros(y.size, dtype=bool)
+        if math.isfinite(bound):
+            hi = np.full(y.size, bound)
+        else:
+            hi = np.ones(y.size)
+            g_hi = self._g(hi, y)
+            grow = np.arange(y.size)
+            while grow.size:
+                g_up = self._g(2.0 * hi[grow], y[grow])
+                keep = g_up >= g_hi[grow]
+                grow = grow[keep]
+                hi[grow] *= 2.0
+                g_hi[grow] = g_up[keep]
+                grow = grow[hi[grow] < _BRACKET_CAP]
+            infinite = (hi >= _BRACKET_CAP) & (g_hi > 0)
+            # g is concave: g(2 hi) < g(hi) places the max in [0, 2 hi]
+            hi = 2.0 * np.minimum(hi, _BRACKET_CAP / 2.0)
+        best = np.maximum(self._golden_max(y, hi), 0.0)
+        # lsc value at a finite domain bound is the left limit; include it
+        best = np.maximum(best, self._g(hi, y))
+        best[infinite] = INF
+        return best
+
+    def _golden_max(self, y: np.ndarray, hi: np.ndarray,
+                    tol: float = 1e-12, max_iter: int = 300) -> np.ndarray:
+        """max of g(., y) on [0, hi] by golden section, per element."""
+        lo, hi = np.zeros(y.size), hi.copy()
+        x1 = hi - INV_PHI * (hi - lo)
+        x2 = lo + INV_PHI * (hi - lo)
+        f1, f2 = self._g(x1, y), self._g(x2, y)
+        best = np.maximum(f1, f2)
+        for _ in range(max_iter):
+            act = np.flatnonzero(hi - lo > tol * np.maximum(1.0, np.abs(lo) + np.abs(hi)))
+            if not act.size:
+                break
+            left = f1[act] >= f2[act]
+            # left: the max lies in [lo, x2]; right: in [x1, hi]
+            a, b = act[left], act[~left]
+            hi[a], x2[a], f2[a] = x2[a], x1[a], f1[a]
+            lo[b], x1[b], f1[b] = x1[b], x2[b], f2[b]
+            x1[a] = hi[a] - INV_PHI * (hi[a] - lo[a])
+            x2[b] = lo[b] + INV_PHI * (hi[b] - lo[b])
+            new = np.where(left, x1[act], x2[act])
+            f_new = self._g(new, y[act])
+            f1[a] = f_new[left]
+            f2[b] = f_new[~left]
+            best[act] = np.maximum(best[act], f_new)
+        # the objective may jump (extended-real values); keep the best
+        # evaluated point rather than trusting the bracket midpoint
+        return np.maximum(best, self._g(0.5 * (lo + hi), y))
 
     # -- derivatives ------------------------------------------------------
 
@@ -263,7 +313,8 @@ class Exponential(OrliczFunction):
         r = np.maximum(ys / self.beta, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = r * np.log(r) - r + 1.0
-        return np.where(ys <= self.beta, 0.0, out)
+        # inf - inf above: phi*(inf) is inf
+        return np.where(ys <= self.beta, 0.0, np.where(ys < INF, out, INF))
 
     def right_derivative(self, x: float) -> float:
         return self.beta * math.exp(self.beta * x)
@@ -311,6 +362,8 @@ class PiecewiseLinear(OrliczFunction):
     bound: Optional[float] = None
     _knots: np.ndarray = field(init=False, repr=False, compare=False)
     _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _corners: np.ndarray = field(init=False, repr=False, compare=False)
+    _corner_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, breakpoints: Sequence[float], slopes: Sequence[float],
                  bound: Optional[float] = None):
@@ -339,6 +392,12 @@ class PiecewiseLinear(OrliczFunction):
         vals = np.concatenate([[0.0], np.cumsum(np.asarray(sl[:-1]) * np.diff(knots))])
         object.__setattr__(self, "_knots", knots)
         object.__setattr__(self, "_values", vals)
+        corners, corner_vals = knots[knots > 0], vals[knots > 0]
+        if bound is not None:
+            corners = np.append(corners, bound)
+            corner_vals = np.append(corner_vals, self._eval_array(np.array([bound])))
+        object.__setattr__(self, "_corners", corners)
+        object.__setattr__(self, "_corner_values", corner_vals[:, None])
         self._check_nontrivial()
 
     @property
@@ -361,26 +420,19 @@ class PiecewiseLinear(OrliczFunction):
         idx = int(np.searchsorted(self._knots, x, side="right")) - 1
         return 0.0 if idx < 0 else self.slopes[idx]
 
-    def conjugate(self, y: float) -> float:
-        # x y - phi(x) is piecewise linear in x, so the sup sits at a knot
-        # (or at the domain bound); beyond the top slope it is infinite
-        if y < 0:
-            raise ValidationError("conjugate argument must be nonnegative")
-        if self.bound is None and y > self.slopes[-1]:
-            return INF
-        best = 0.0
-        for x, v in zip(self._knots, self._values):
-            best = max(best, x * y - v)
-        if self.bound is not None:
-            best = max(best, self.bound * y - self(self.bound))
-        elif y == self.slopes[-1]:
-            # the objective is constant past the last knot
-            best = max(best, self._knots[-1] * y - self._values[-1])
-        return best
-
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
-        return np.array([self.conjugate(float(v)) for v in ys])
+        # x y - phi(x) is piecewise linear in x, so the sup sits at a knot
+        # (or at the domain bound); beyond the top slope it is infinite.
+        # Knots at 0 add only the floor 0, and would make 0 * inf.
+        ys = np.array(y, dtype=float, ndmin=1)
+        if (ys < 0).any():
+            raise ValidationError("conjugate argument must be nonnegative")
+        with np.errstate(over="ignore"):
+            terms = np.multiply.outer(self._corners, ys.reshape(-1)) - self._corner_values
+            best = np.max(terms, axis=0, initial=0.0).reshape(ys.shape)
+        if self.bound is None:
+            return np.where(ys > self.slopes[-1], INF, best)
+        return best
 
 
 @dataclass(frozen=True)

@@ -54,17 +54,6 @@ def golden_section_min(
     return best_x, best_f
 
 
-def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 300,
-) -> tuple[float, float]:
-    x, v = golden_section_min(lambda t: -f(t), lo, hi, tol=tol, max_iter=max_iter)
-    return x, -v
-
-
 def bisect_threshold(
     pred: Callable[[float], bool],
     lo: float,
