@@ -162,6 +162,21 @@ class DualWitness:
         }
 
 
+def derivative_density(prior: np.ndarray, phi: OrliczFunction,
+                       z: np.ndarray) -> np.ndarray:
+    """P * phi'(z) atomwise, with phi' the right derivative; where phi'
+    is infinite on some atom of the prior (z at or past a domain bound,
+    where the modular jumps to infinity) it is P on those atoms and 0
+    elsewhere. Atoms outside the prior's support carry 0.
+    """
+    deriv = np.array([phi.right_derivative(t) if p > 0 else 0.0
+                      for t, p in zip(z, prior)])
+    inf_mask = np.isinf(deriv) & (prior > 0)
+    if np.any(inf_mask):
+        return np.where(inf_mask, prior, 0.0)
+    return prior * deriv
+
+
 def dual_witness(model: ScenarioModel, x, family: OrliczFamily,
                  tol: float = DEFAULT_TOL,
                  norm_result: Optional[NormResult] = None) -> DualWitness:
@@ -192,15 +207,7 @@ def dual_witness(model: ScenarioModel, x, family: OrliczFamily,
     lam = norm_result.bracket[0]
     if not (lam > 0 and math.isfinite(lam)):
         lam = value
-    z = abs_x / lam
-    deriv = np.array([phi.right_derivative(t) if p > 0 else 0.0
-                      for t, p in zip(z, prior)])
-
-    inf_mask = np.isinf(deriv) & (prior > 0)
-    if np.any(inf_mask):
-        raw = np.where(inf_mask, prior, 0.0)
-    else:
-        raw = prior * deriv
+    raw = derivative_density(prior, phi, abs_x / lam)
     if not np.any(raw > 0):
         raise ConsistencyError("dual witness degenerated to the zero measure")
 

@@ -16,9 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .scalar import INV_PHI, bisect_threshold
+from .scalar import bisect_threshold
 
 INF = math.inf
+# step ratio of the golden-section search in the numeric conjugate
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _BRACKET_CAP = 2.0 ** 1023
 
@@ -305,16 +307,18 @@ class Exponential(OrliczFunction):
             raise ValidationError("conjugate argument must be nonnegative")
         if y <= self.beta:
             return 0.0
-        r = y / self.beta
+        r = float(y) / self.beta
+        if r == INF:
+            return INF  # r log r - r is inf - inf there
         return r * math.log(r) - r + 1.0
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
-        r = np.maximum(ys / self.beta, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.maximum(ys / self.beta, 1.0)
             out = r * np.log(r) - r + 1.0
-        # inf - inf above: phi*(inf) is inf
-        return np.where(ys <= self.beta, 0.0, np.where(ys < INF, out, INF))
+        # inf - inf above where y / beta is inf: phi* is inf there
+        return np.where(ys <= self.beta, 0.0, np.where(r < INF, out, INF))
 
     def right_derivative(self, x: float) -> float:
         return self.beta * math.exp(self.beta * x)

@@ -5,6 +5,13 @@ payoffs (X - k)+ over all strikes k contains exactly the functions of X
 on the support; strikes are placed at the observed distinct values of X
 (all but the largest), which makes the basis canonical and linearly
 independent.
+
+The best approximation of a target Y by the span in the worst-case
+Luxemburg norm is a convex min-max problem over the coefficients. It is
+solved as its epigraph, min t subject to t >= ||Y - aB||_P for every
+prior P, by SLSQP with the analytic gradient of each per-prior norm
+(implicit differentiation of E_P phi(|r| / N) = 1), from a few warm and
+random starts whose final values must agree.
 """
 
 from __future__ import annotations
@@ -16,11 +23,17 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
+from .duality import derivative_density
 from .model import ScenarioModel, canonicalise
-from .norms import DEFAULT_TOL, OrliczFamily, sup_prior_norms
-from .scalar import golden_section_min
+from .norms import DEFAULT_TOL, OrliczFamily, single_prior_luxemburg
 
 INF = math.inf
+
+# SLSQP's stopping rule on the change in t, its iteration cap per call,
+# and the calls per start (each resumes from where the last one stopped)
+_SLSQP_FTOL = 1e-14
+_SLSQP_MAXITER = 100
+_SLSQP_CALLS = 5
 
 
 @dataclass
@@ -51,47 +64,6 @@ def option_basis(model: ScenarioModel, x) -> OptionBasis:
                        vectors=np.array(vectors), dimension=len(distinct))
 
 
-def _coordinate_descent(objective, a0: np.ndarray, tol: float,
-                        max_sweeps: int = 100) -> Tuple[np.ndarray, float, bool]:
-    a = a0.astype(float).copy()
-    f = objective(a)
-    stationary = False
-
-    def line_min(direction: np.ndarray, f_cur: float):
-        def g(s: float):
-            return objective(a + s * direction)
-
-        r = 1.0
-        while r < 2.0 ** 60 and min(g(-r), g(r)) < f_cur:
-            r *= 2.0
-        return golden_section_min(g, -r, r, tol=1e-13)
-
-    for _ in range(max_sweeps):
-        sweep_start = a.copy()
-        sweep_gain = 0.0
-        for i in range(a.size):
-            e = np.zeros(a.size)
-            e[i] = 1.0
-            s, v = line_min(e, f)
-            if v < f:
-                sweep_gain += f - v
-                a[i] += s
-                f = v
-        # acceleration along the net sweep direction counters the slow
-        # zig-zag of plain coordinate descent on ill-conditioned bases
-        d = a - sweep_start
-        if np.any(d != 0.0):
-            s, v = line_min(d, f)
-            if v < f:
-                sweep_gain += f - v
-                a += s * d
-                f = v
-        if sweep_gain < tol * max(1.0, f):
-            stationary = True
-            break
-    return a, f, stationary
-
-
 @dataclass
 class ProjectionResult:
     coefficients: np.ndarray
@@ -109,23 +81,67 @@ class ProjectionResult:
 def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
                       family: OrliczFamily, tol: float = DEFAULT_TOL,
                       n_restarts: int = 8, seed: int = 0) -> ProjectionResult:
-    """Minimise ||Y - sum a_i B_i|| by coordinate descent with
-    golden-section line searches on the convex objective.
+    """Minimise ||Y - sum a_i B_i|| over the coefficients a.
 
-    Warm starts (plain and prior-weighted least squares on the support,
-    zero) are tried alongside random restarts; all runs must land within
-    a small neighbourhood of the best value, which is asserted.
+    Each start a0 solves the epigraph problem (minimise t subject to
+    t - ||Y - aB||_P >= 0 for every prior P) by SLSQP from
+    (a0, ||Y - a0 B||). Constraint row P has gradient 1 in t and, in a,
+    minus the implicit derivative of N = ||r||_P at r = Y - aB:
+    dN/da_i = -N <raw sign(r), B_i> / <raw, |r|>, raw = P phi'(|r| / N)
+    (`derivative_density`); the a-part is 0 when N = 0 or <raw, |r|> is
+    not finite and positive. A call that stops short (iteration cap, a
+    failed line search, or a step too small to register at a kink of
+    the norm) is resumed from its end point, with a fresh Hessian
+    estimate, while a call lowers the value by more than tol max(1, value),
+    at most _SLSQP_CALLS calls per start.
+
+    The starts are plain and prior-weighted least squares on the
+    support, zero, and `n_restarts` random ones. A start whose value is
+    already at most max(10 tol, 1e-12) is returned without a solve, and
+    the first start that ends there stops the loop. Every start must end
+    within max(1e-6, 50 tol) max(1, best) of the best value, else
+    ConsistencyError. `restart_values` are the starts' final values;
+    `stationary` is SLSQP's success flag for the last call of the best
+    start (True for a start that needed no solve).
     """
     from scipy import optimize
 
     family.check_model(model)
     yc = canonicalise(model, y).values
     B = basis.vectors
-    if sup_prior_norms(model, np.abs(yc), family, tol)[0] == INF:
+    pairs = [(prior, family.phi(label))
+             for label, prior in zip(model.prior_labels, model.priors)]
+    n = B.shape[0]
+    # SLSQP asks for the constraints and their Jacobian at the same point:
+    # the per-prior norms of the last point are kept for the second call
+    last = {}
+
+    def prior_norms(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        key = a.tobytes()
+        if key not in last:
+            r = yc - a @ B
+            last.clear()
+            last[key] = r, np.array([single_prior_luxemburg(prior, phi, r, tol)
+                                     for prior, phi in pairs])
+        return last[key]
+
+    if prior_norms(np.zeros(n))[1].max() == INF:
         raise ValidationError("projection target has infinite norm")
 
-    def objective(a: np.ndarray) -> float:
-        return sup_prior_norms(model, np.abs(yc - a @ B), family, tol)[0]
+    def constraints(v: np.ndarray) -> np.ndarray:
+        return v[n] - prior_norms(v[:n])[1]
+
+    def jacobian(v: np.ndarray) -> np.ndarray:
+        r, norms = prior_norms(v[:n])
+        jac = np.zeros((len(pairs), n + 1))
+        jac[:, n] = 1.0
+        for row, (prior, phi), norm in zip(jac, pairs, norms):
+            if norm > 0.0 and norm < INF:
+                raw = derivative_density(prior, phi, np.abs(r) / norm)
+                denom = float(np.dot(raw, np.abs(r)))
+                if denom > 0.0 and denom < INF:
+                    row[:n] = norm * (B @ (raw * np.sign(r))) / denom
+        return jac
 
     support = model.support_mask
     starts: List[np.ndarray] = []
@@ -134,26 +150,36 @@ def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
     starts.append(np.linalg.lstsq(A, bvec, rcond=None)[0])
     w = np.sqrt(np.maximum(np.mean(np.stack(model.priors), axis=0)[support], 1e-12))
     starts.append(np.linalg.lstsq(A * w[:, None], bvec * w, rcond=None)[0])
-    starts.append(np.zeros(B.shape[0]))
+    starts.append(np.zeros(n))
     rng = np.random.default_rng(seed)
-    starts += [rng.normal(scale=1.0 + np.abs(bvec).max(), size=B.shape[0])
+    starts += [rng.normal(scale=1.0 + np.abs(bvec).max(), size=n)
                for _ in range(n_restarts)]
 
+    exact = max(10.0 * tol, 1e-12)
+    e_t = np.eye(n + 1)[n]
     best_a, best_f, best_st = None, INF, False
     finals = []
     for a0 in starts:
-        a, f, st = _coordinate_descent(objective, a0, tol)
-        # Powell's direction-set method untangles the coupled coordinates
-        # that stall axis-aligned descent on ill-conditioned call bases
-        polish = optimize.minimize(objective, a, method="Powell",
-                                   options={"xtol": 1e-12, "ftol": 1e-14,
-                                            "maxiter": 200})
-        if polish.fun < f:
-            a, f = np.asarray(polish.x, dtype=float), float(polish.fun)
+        a, f, st = a0, float(prior_norms(a0)[1].max()), True
+        for _ in range(_SLSQP_CALLS if f > exact else 0):
+            res = optimize.minimize(
+                lambda v: v[n], np.append(a, f), method="SLSQP",
+                jac=lambda v: e_t,
+                constraints={"type": "ineq", "fun": constraints, "jac": jacobian},
+                options={"ftol": _SLSQP_FTOL, "maxiter": _SLSQP_MAXITER})
+            st = bool(res.success)
+            a_new = np.asarray(res.x[:n], dtype=float)
+            f_new = float(prior_norms(a_new)[1].max())
+            if not f_new < f:
+                break
+            gain = f - f_new
+            a, f = a_new, f_new
+            if gain <= tol * max(1.0, f):
+                break
         finals.append(f)
         if f < best_f:
             best_a, best_f, best_st = a, f, st
-        if best_f <= max(10.0 * tol, 1e-12):
+        if best_f <= exact:
             break  # exact minimum found; further restarts settle nothing
     spread = max(finals) - best_f
     if spread > max(1e-6, 50.0 * tol) * max(1.0, best_f):
