@@ -150,7 +150,7 @@ def cmd_modular(args) -> int:
     model = _model(args)
     family = _family(args, model)
     x = _parse_vector(args.x)
-    if args.lam is None or args.lam <= 0:
+    if args.lam is None or not args.lam > 0:
         raise ValidationError("--lam must be a positive scale")
     val = norms.modular(model, x, args.lam, family)
     _emit(args, {"modular": val, "lam": args.lam}, text=_fmt(val))

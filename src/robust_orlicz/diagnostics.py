@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import MeasureVector, ScenarioModel, canonicalise
-from .norms import (DEFAULT_TOL, OrliczFamily, single_prior_modular,
+from .norms import (DEFAULT_TOL, OrliczFamily, _compact_groups, _compact_modular,
                     sup_prior_norms)
 
 INF = math.inf
@@ -94,11 +94,17 @@ def gaussian_uniform_family_ladder(phi, truncations: Sequence[float],
     return out
 
 
-def _robust_norm(t: Truncation, x: Optional[np.ndarray] = None,
+def _canonical_abs(t: Truncation) -> np.ndarray:
+    return np.abs(canonicalise(t.model, t.x).values)
+
+
+def _robust_norm(t: Truncation, abs_x: Optional[np.ndarray] = None,
                  tol: float = DEFAULT_TOL) -> float:
     """Robust norm of one rung as the sup of per-prior norms (uncertified;
-    cheap closed forms apply per prior)."""
-    abs_x = np.abs(canonicalise(t.model, t.x if x is None else x).values)
+    cheap closed forms apply per prior); `abs_x` is a canonical |X| on the
+    rung's model, |t.x| by default."""
+    if abs_x is None:
+        abs_x = _canonical_abs(t)
     return sup_prior_norms(t.model, abs_x, t.family, tol)[0]
 
 
@@ -189,13 +195,14 @@ def tail_membership(ladder: Sequence[Truncation],
     levels = [float(l) for l in levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValidationError("levels must be strictly ascending")
+    abs_xs = [_canonical_abs(t) for t in ladder]
     tail_norms, stable = [], []
     for lev in levels:
         vals, ok = [], len(ladder) == 1
-        for t in ladder:
-            abs_x = np.abs(canonicalise(t.model, t.x).values)
+        for t, abs_x in zip(ladder, abs_xs):
+            # zero wherever |X| is, so still canonical
             tail = np.where(abs_x > lev, abs_x, 0.0)
-            vals.append(_robust_norm(t, x=tail, tol=tol))
+            vals.append(_robust_norm(t, tail, tol))
             if len(vals) >= 2:
                 a, b = vals[-2], vals[-1]
                 ok = abs(b - a) <= STABLE_REL_CHANGE * max(1e-300, abs(b))
@@ -229,15 +236,12 @@ def tail_membership(ladder: Sequence[Truncation],
 def _per_prior_alpha_search(model: ScenarioModel, abs_x: np.ndarray,
                             family: OrliczFamily, k_max: int = 60) -> bool:
     """Every prior admits some alpha = 2^{-k} with a finite modular."""
-    for label, prior in zip(model.prior_labels, model.priors):
-        phi = family.phi(label)
-        ok = False
-        for k in range(k_max + 1):
-            if single_prior_modular(prior, phi, abs_x, 2.0 ** k) < INF:
-                ok = True
-                break
-        if not ok:
-            return False
+    for labels, w, a in _compact_groups(model, abs_x):
+        for label in labels:
+            phi = family.phi(label)
+            if not any(_compact_modular(w, a, phi, 2.0 ** k) < INF
+                       for k in range(k_max + 1)):
+                return False
     return True
 
 
@@ -256,8 +260,7 @@ def membership_classify(ladder, tol: float = DEFAULT_TOL) -> str:
     if not ladder:
         raise ValidationError("empty truncation ladder")
     finest = ladder[-1]
-    abs_x = np.abs(canonicalise(finest.model, finest.x).values)
-    frak = _per_prior_alpha_search(finest.model, abs_x, finest.family)
+    frak = _per_prior_alpha_search(finest.model, _canonical_abs(finest), finest.family)
     if not frak:
         return "outside_frakL"
     norms = [_robust_norm(t, tol=tol) for t in ladder]
@@ -346,6 +349,12 @@ def mixture_witness(model: ScenarioModel, x, family: OrliczFamily,
                     per_prior_norms=per_prior, mixture=None,
                     modular_lower_bound=0.0)
 
+    if not 0.0 < alpha < INF:
+        raise ValidationError("alpha must be finite and positive")
+    chosen = set(sel)
+    mods = {l: _compact_modular(w, a, family.phi(l), 1.0 / alpha)
+            for labels, w, a in _compact_groups(model, abs_x)
+            for l in labels if l in chosen}
     raw = np.zeros(model.n_atoms)
     contributions = []
     bound = 0.0
@@ -353,8 +362,7 @@ def mixture_witness(model: ScenarioModel, x, family: OrliczFamily,
         g = float(gamma[l])
         w = 2.0 ** (-j)
         raw += w * (g / (1.0 + g) * pstar + 1.0 / (1.0 + g) * model.prior(l))
-        term = w / (1.0 + g) * single_prior_modular(
-            model.prior(l), family.phi(l), abs_x, 1.0 / alpha)
+        term = w / (1.0 + g) * mods[l]
         contributions.append(term)
         bound += term
     mixture = MeasureVector(raw / raw.sum())

@@ -51,11 +51,22 @@ class MeasureVector:
 
 @dataclass(frozen=True)
 class ScenarioModel:
+    """Atoms, priors (read-only mass vectors) and their labels.
+
+    `support_mask` marks the atoms charged by at least one prior.
+    `prior_groups` partitions the prior indices by equal mass vectors, in
+    order of first occurrence: ((0, 1, 2),) for three copies of one law.
+    Kernels that work per prior vector, not per (prior, phi) pair, gather
+    once per group. Only the indices are kept.
+    """
+
     atoms: tuple
     priors: tuple
     prior_labels: tuple
     #: atoms charged by at least one prior (the quasi-sure support)
     support_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    #: prior indices grouped by equal mass vectors
+    prior_groups: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, atoms: Sequence[str], priors: Iterable, prior_labels=None):
         atoms = tuple(str(a) for a in atoms)
@@ -90,6 +101,7 @@ class ScenarioModel:
         object.__setattr__(self, "prior_labels", prior_labels)
         support.setflags(write=False)
         object.__setattr__(self, "support_mask", support)
+        object.__setattr__(self, "prior_groups", _group_equal(mats))
 
     @property
     def n_atoms(self) -> int:
@@ -109,6 +121,22 @@ class ScenarioModel:
         """Atoms null under every prior."""
         mask = ~self.support_mask
         return frozenset(a for a, m in zip(self.atoms, mask) if m)
+
+
+def _group_equal(vectors: Sequence[np.ndarray]) -> tuple:
+    """Indices of equal vectors, grouped in order of first occurrence:
+    bucketed by a hash of the bytes, confirmed by np.array_equal."""
+    groups: list = []
+    buckets: dict = {}
+    for i, v in enumerate(vectors):
+        bucket = buckets.setdefault(hash(v.tobytes()), [])
+        group = next((g for g in bucket if np.array_equal(vectors[g[0]], v)), None)
+        if group is None:
+            group = []
+            bucket.append(group)
+            groups.append(group)
+        group.append(i)
+    return tuple(tuple(g) for g in groups)
 
 
 @dataclass(frozen=True)

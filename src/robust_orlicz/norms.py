@@ -8,13 +8,23 @@ may jump or vanish, as at a domain bound or below a first breakpoint, so
 every step stays inside a bracket and falls back to the geometric
 midpoint), and certified on the joint modular at the two ends of a small
 bracket.
+
+The model-level kernels (`sup_prior_norms`, the certificate, `modular`)
+work per group of equal priors (`ScenarioModel.prior_groups`): each call
+gathers the prior's masses and |X| once per group, on the atoms the prior
+charges where X is nonzero, and runs every phi of the group on those
+compact arrays. Atoms where X is 0 are dropped because phi(0) = 0; that
+changes only the summation order of a modular, so results are
+bit-identical to the per-prior route wherever X has no zero on the
+support. `single_prior_luxemburg` and `single_prior_modular` gather on
+prior > 0 alone and keep their exact arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -139,28 +149,54 @@ def _check_tol(tol: float) -> None:
 # -- modulars -------------------------------------------------------------
 
 
+def _check_scale(lam: float) -> None:
+    if not lam > 0:
+        raise ValidationError("modular scale must be positive")
+
+
+def _compact_modular(w: np.ndarray, a: np.ndarray, phi: OrliczFunction,
+                     lam: float) -> float:
+    """sum w * phi(a / lam) for positive masses w; phi >= 0, so the dot
+    product is inf exactly when some phi(a / lam) is."""
+    return float(np.dot(w, phi._eval_array(a / lam)))
+
+
+def _compact_groups(model: ScenarioModel, abs_x: np.ndarray,
+                    first: Optional[str] = None) -> Iterator[tuple]:
+    """(labels, masses, |X|) per group of equal priors, on the atoms the
+    prior charges where |X| > 0; gathered one group at a time. With
+    `first`, that prior's group comes first and the prior first in it."""
+    labels, groups = model.prior_labels, model.prior_groups
+    if first is not None:
+        k = labels.index(first)
+        groups = sorted((sorted(g, key=lambda i: i != k) for g in groups),
+                        key=lambda g: g[0] != k)
+    nonzero = abs_x > 0.0
+    for group in groups:
+        prior = model.priors[group[0]]
+        keep = (prior > 0.0) & nonzero
+        yield [labels[i] for i in group], prior[keep], abs_x[keep]
+
+
 def single_prior_modular(prior: np.ndarray, phi: OrliczFunction,
                          abs_x: np.ndarray, lam: float) -> float:
-    if lam <= 0:
-        raise ValidationError("modular scale must be positive")
+    _check_scale(lam)
     pos = prior > 0.0
-    if not np.any(pos):
-        return 0.0
-    vals = phi._eval_array(abs_x[pos] / lam)
-    if np.any(np.isinf(vals)):
-        return INF
-    return float(np.dot(prior[pos], vals))
+    return _compact_modular(prior[pos], abs_x[pos], phi, lam)
 
 
 def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily) -> float:
-    """sup over priors of E_P[phi_P(|X| / lam)]."""
+    """sup over priors of E_P[phi_P(|X| / lam)]; the same sums as the
+    certificate's joint modular."""
     family.check_model(model)
+    _check_scale(lam)
     abs_x = np.abs(canonicalise(model, x).values)
     best = 0.0
-    for label, prior in zip(model.prior_labels, model.priors):
-        m = single_prior_modular(prior, family.phi(label), abs_x, lam)
-        if m > best:
-            best = m
+    for labels, w, a in _compact_groups(model, abs_x):
+        for label in labels:
+            m = _compact_modular(w, a, family.phi(label), lam)
+            if m > best:
+                best = m
     return best
 
 
@@ -240,6 +276,31 @@ def _norm_bisection(mod: Callable[[float], float], tol: float,
     return 0.5 * (lo + hi), (lo, hi), it
 
 
+def _compact_norm(w: np.ndarray, a: np.ndarray, phi: OrliczFunction,
+                  tol: float, max_iter: int) -> Tuple[float, int]:
+    """(norm, root-finder steps) of |X| under one prior, from the prior's
+    positive masses w and |X| on those atoms (atoms where X is 0 may be
+    left out)."""
+    top = float(np.max(a)) if a.size else 0.0
+    if top == INF:
+        return INF, 0
+    if top == 0.0:
+        return 0.0, 0
+    degree = phi.homogeneity_degree
+    if degree is not None and degree < INF and abs(degree * math.log2(top)) > _EXP_RANGE:
+        # |X|**degree would leave the float range: take the closed form
+        # of |X| / max|X| and scale back (exact by homogeneity)
+        value = top * phi.luxemburg_closed_form(w, a / top)
+    else:
+        value = phi.luxemburg_closed_form(w, a)
+    if value is not None:
+        return value, 0
+    y = a / top
+    lam, _, steps = _norm_bisection(lambda lam: _compact_modular(w, y, phi, lam),
+                                    tol / 2.0, max_iter)
+    return top * lam, steps
+
+
 def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
                            tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER,
                            with_steps: bool = False):
@@ -253,28 +314,9 @@ def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
     returns (value, steps).
     """
     _check_tol(tol)
-    abs_x = np.abs(np.asarray(x, dtype=float))
     pos = prior > 0.0
-    a = abs_x[pos]
-    top = float(np.max(a)) if a.size else 0.0
-    value, steps = 0.0, 0
-    if top == INF:
-        value = INF
-    elif top > 0.0:
-        degree = phi.homogeneity_degree
-        if degree is not None and degree < INF and abs(degree * math.log2(top)) > _EXP_RANGE:
-            # |X|**degree would leave the float range: take the closed form
-            # of |X| / max|X| and scale back (exact by homogeneity)
-            value = top * phi.luxemburg_closed_form(prior[pos], a / top)
-        else:
-            value = phi.luxemburg_closed_form(prior[pos], a)
-        if value is None:
-            y = np.zeros_like(abs_x)
-            y[pos] = a / top
-            lam, _, steps = _norm_bisection(
-                lambda lam: single_prior_modular(prior, phi, y, lam),
-                tol / 2.0, max_iter)
-            value = top * lam
+    value, steps = _compact_norm(prior[pos], np.abs(np.asarray(x, dtype=float))[pos],
+                                 phi, tol, max_iter)
     return (value, steps) if with_steps else value
 
 
@@ -283,11 +325,15 @@ def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamil
                     max_iter: int = MAX_ITER) -> Tuple[float, Dict[str, float], int]:
     """sup_P ||X||_P for a canonical |X|: returns the sup, the per-prior
     norms, and the root-finder steps of the prior attaining the sup."""
+    _check_tol(tol)
+    found: Dict[str, Tuple[float, int]] = {}
+    for labels, w, a in _compact_groups(model, abs_x):
+        for label in labels:
+            found[label] = _compact_norm(w, a, family.phi(label), tol, max_iter)
     per_prior: Dict[str, float] = {}
     best, best_steps = 0.0, 0
-    for label, prior in zip(model.prior_labels, model.priors):
-        value, steps = single_prior_luxemburg(prior, family.phi(label), abs_x, tol,
-                                              max_iter, with_steps=True)
+    for label in model.prior_labels:
+        value, steps = found[label]
         per_prior[label] = value
         if value > best:
             best, best_steps = value, steps
@@ -302,38 +348,39 @@ def _certify(model: ScenarioModel, abs_x: np.ndarray, value: float, delta: float
     delta and M > 1 at value - delta if positive; 0 only for |X| = 0 on
     the support; inf by M > 1 at 2**1023. Returns (bracket, M at its upper
     end) or raises ConsistencyError. Prior `first` is tried first where
-    one prior above 1 settles the check.
+    one prior above 1 settles the check. Both ends are evaluated in one
+    pass over the prior groups.
     """
-    pairs = list(zip(model.prior_labels, model.priors))
-    pairs.insert(0, pairs.pop(model.prior_labels.index(first)))
 
-    def joint(lam: float, stop_above_one: bool) -> float:
-        best = -INF
-        for label, prior in pairs:
-            m = single_prior_modular(prior, phis[label], abs_x, lam)
-            best = max(best, m - offsets[label])
-            if stop_above_one and best > 1.0:
-                break
-        return best
+    def joint(hi: Optional[float], lo: Optional[float]) -> Tuple[float, float]:
+        # M at hi over every prior; M at lo only until it exceeds 1
+        at_hi = at_lo = -INF
+        for labels, w, a in _compact_groups(model, abs_x, first):
+            for label in labels:
+                phi, offset = phis[label], offsets[label]
+                if hi is not None:
+                    at_hi = max(at_hi, _compact_modular(w, a, phi, hi) - offset)
+                if lo is not None and not at_lo > 1.0:
+                    at_lo = max(at_lo, _compact_modular(w, a, phi, lo) - offset)
+        return at_hi, at_lo
 
     if value == 0.0:
         if np.any(abs_x > 0.0):
             raise ConsistencyError("norm 0 reported for a variable nonzero on the support")
         return (0.0, 0.0), 0.0
     if value == INF:
-        at_cap = joint(_LAMBDA_CAP, True)
+        at_cap = joint(None, _LAMBDA_CAP)[1]
         if not at_cap > 1.0:
             raise ConsistencyError(
                 f"norm inf reported but the joint modular is {at_cap!r} <= 1 at {_LAMBDA_CAP!r}")
         return (_LAMBDA_CAP, INF), INF
     lo, hi = value - delta, value + delta
-    at_hi = joint(hi, False)
+    at_hi, at_lo = joint(hi, lo if lo > 0.0 else None)
     if not at_hi <= 1.0:
         raise ConsistencyError(
             f"joint modular {at_hi!r} > 1 at {hi!r}, above the sup of "
             f"per-prior norms {value!r}")
     if lo > 0.0:
-        at_lo = joint(lo, True)
         if not at_lo > 1.0:
             raise ConsistencyError(
                 f"joint modular {at_lo!r} <= 1 at {lo!r}, below the sup of "

@@ -283,6 +283,10 @@ class Power(OrliczFunction):
             return 1.0
         return self.p * x ** (self.p - 1.0)
 
+    def affine_minorant(self) -> AffineMinorant:
+        # the tangent at x = 1, where x**p first reaches 1
+        return AffineMinorant(a=float(self.p), b=min(0.0, 1.0 - self.p))
+
 
 @dataclass(frozen=True)
 class Exponential(OrliczFunction):

@@ -59,6 +59,13 @@ class TestExitCodes:
                    "--x", "1,3", "--tol", "0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("lam", ["nan", "0", "-1"])
+    def test_modular_scale_that_is_not_positive_rejected(self, paths, capsys, lam):
+        rc = main(["modular", "--model", paths["uniform"], "--family", paths["p1"],
+                   "--x", "1,2", "--lam", lam])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestCommands:
     def test_validate_pass_lines(self, paths, capsys):

@@ -147,3 +147,9 @@ class TestMixtureWitness:
         t = gaussian_power_ladder(12, T=T_COARSE, h=H_COARSE)
         rep = mixture_witness(t.model, t.x, t.family)
         assert rep.modular_lower_bound == pytest.approx(sum(rep.contributions))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_alpha_that_is_not_finite_positive(self, uniform2_model, alpha):
+        fam = OrliczFamily.uniform(uniform2_model, Power(2))
+        with pytest.raises(ValidationError):
+            mixture_witness(uniform2_model, [1.0, 2.0], fam, alpha=alpha)

@@ -11,6 +11,8 @@ from robust_orlicz import (EssSupIndicator, OrliczFamily, Power, Scaled,
                            penalised_norm, prior_norm_bound, risk_measure,
                            single_prior_luxemburg, weighted_lp_norm)
 
+from robust_orlicz import norms
+
 from conftest import random_family, random_model, random_x
 
 INF = math.inf
@@ -35,6 +37,15 @@ class TestModular:
         fam = OrliczFamily.uniform(uniform2_model, Power(1))
         with pytest.raises(ValidationError):
             modular(uniform2_model, [1, 1], 0.0, fam)
+
+    @pytest.mark.parametrize("lam", [math.nan, -1.0, -INF])
+    def test_rejects_scale_that_is_not_positive(self, uniform2_model, lam):
+        fam = OrliczFamily.uniform(uniform2_model, Power(1))
+        with pytest.raises(ValidationError):
+            modular(uniform2_model, [1, 2], lam, fam)
+        with pytest.raises(ValidationError):
+            norms.single_prior_modular(np.array([0.5, 0.5]), Power(1),
+                                       np.array([1.0, 2.0]), lam)
 
 
 class TestLuxemburgNorm:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_orlicz import (EssSupIndicator, Exponential, PiecewiseLinear,
-                           Power, Scaled, ValidationError, validate_orlicz)
+from robust_orlicz import (EssSupIndicator, Exponential, OrliczFunction,
+                           PiecewiseLinear, Power, Scaled, ValidationError,
+                           validate_orlicz)
 
 from conftest import random_phi
 
@@ -167,3 +168,14 @@ class TestConvexity:
                     PiecewiseLinear([0.0, 1.0], [0.5, 2.0]),
                     Scaled(Power(2), 1.5, 2.0)]:
             validate_orlicz(phi)
+
+
+class TestPowerAffineMinorant:
+    def test_closed_form_equals_numeric_route(self):
+        rng = np.random.default_rng(504)
+        exponents = [1, 1.0, 2, 40.0] + [float(p) for p in rng.uniform(1.0, 40.0, size=200)]
+        for p in exponents:
+            phi = Power(p)
+            closed = phi.affine_minorant()
+            assert closed == OrliczFunction.affine_minorant(phi)
+            assert type(closed.a) is float and type(closed.b) is float
