@@ -182,8 +182,9 @@ def _tail_slope(levels, norms) -> Optional[float]:
 def tail_membership(ladder: Sequence[Truncation],
                     levels: Sequence[float],
                     tol: float = DEFAULT_TOL) -> TailProfile:
-    """Tail norms ||X 1_{|X|>n}|| per level, at the finest truncation
-    where the value stabilises (relative change < 1e-6 across two rungs).
+    """Tail norms ||X 1_{|X|>n}|| per level, at the finest truncation;
+    `stable` says whether that value changed by less than 1e-6 relative
+    from the rung before (always True on a one-rung ladder).
 
     Verdict: convergent if the last tail norm < 1e-6 with slope of
     log tail norm against level below -0.1 (or all tails exactly 0);
@@ -195,19 +196,18 @@ def tail_membership(ladder: Sequence[Truncation],
     levels = [float(l) for l in levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValidationError("levels must be strictly ascending")
-    abs_xs = [_canonical_abs(t) for t in ladder]
+    # every rung is canonicalised (and so validated); only the last two
+    # rungs' norms are read
+    last = list(zip(ladder, [_canonical_abs(t) for t in ladder]))[-2:]
     tail_norms, stable = [], []
     for lev in levels:
-        vals, ok = [], len(ladder) == 1
-        for t, abs_x in zip(ladder, abs_xs):
-            # zero wherever |X| is, so still canonical
-            tail = np.where(abs_x > lev, abs_x, 0.0)
-            vals.append(_robust_norm(t, tail, tol))
-            if len(vals) >= 2:
-                a, b = vals[-2], vals[-1]
-                ok = abs(b - a) <= STABLE_REL_CHANGE * max(1e-300, abs(b))
-        tail_norms.append(vals[-1])
-        stable.append(ok)
+        # zero wherever |X| is, so still canonical
+        vals = [_robust_norm(t, np.where(abs_x > lev, abs_x, 0.0), tol)
+                for t, abs_x in last]
+        a, b = vals[0], vals[-1]
+        tail_norms.append(b)
+        stable.append(len(vals) == 1
+                      or abs(b - a) <= STABLE_REL_CHANGE * max(1e-300, abs(b)))
 
     slope = _tail_slope(levels, tail_norms)
     if all(v == 0.0 for v in tail_norms):

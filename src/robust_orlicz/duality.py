@@ -6,14 +6,19 @@ implemented: the conjugate formula inf_{k>0} (1 + E_P[phi*(k Z)])/k with
 Z = d mu/dP, and a brute-force maximisation over random variables on
 small models. The cross-check between them is the module's main oracle.
 
-The conjugate route is a batched bracket search on t = log2 k over
-[-80, 80]: each round evaluates the objective on a fixed grid of t with
-one `conjugate_array` call on the outer product k (x) Z and one mat-vec
-against P, and the two grid neighbours of the best point bracket the
-next round, until the bracket is 1e-14 wide relative to |t|. The
-objective is quasiconvex in k, so the bracket keeps the minimiser; every
-evaluated value is an upper bound on the dual norm (Young's inequality),
-and the smallest one is returned.
+The conjugate route takes the k that minimise the objective from phi's
+`conjugate_minimisers`, a closed form on `Power`, `Exponential`,
+`PiecewiseLinear`, `EssSupIndicator` and `Scaled` of these, and
+evaluates the objective there with one `conjugate_array` call. Classes
+without that closed form (`AggregateOrlicz`) fall back to a batched
+bracket search on t = log2 k over [-80, 80]: each round evaluates the
+objective on a fixed grid of t with one `conjugate_array` call on the
+outer product k (x) Z and one mat-vec against P, and the two grid
+neighbours of the best point bracket the next round, until the bracket
+is 1e-14 wide relative to |t|. The objective is quasiconvex in k, so the
+bracket keeps the minimiser. On either route every evaluated value is an
+upper bound on the dual norm (Young's inequality), and the smallest one
+is returned.
 """
 
 from __future__ import annotations
@@ -86,31 +91,48 @@ def _dual_norm_conjugate(m: np.ndarray, prior: np.ndarray,
                          phi: OrliczFunction) -> float:
     # G(k) = E_P[phi*(kZ)] is convex in k with G(0) = 0, and (1 + G(k))/k
     # is quasiconvex: its stationarity condition k G'(k) - G(k) = 1 has a
-    # nondecreasing left side, so a flat part is a minimum and the grid
-    # neighbours of the best point bracket a minimiser. Young's inequality
-    # makes every value >= sup{mu|X| : ||X|| <= 1}. The norm is positively
-    # homogeneous in mu, so the search runs on Z / max Z, where the optimal
-    # k does not depend on the scale of mu, and scales back; Z is formed
-    # from mu / max mu, so that it does not overflow.
+    # nondecreasing left side. phi's class supplies the k where it holds
+    # (or k -> inf is approached); without them, a search brackets one.
+    # Young's inequality makes every value >= sup{mu|X| : ||X|| <= 1}. The
+    # norm is positively homogeneous in mu, so k is found for Z / max Z,
+    # where it does not depend on the scale of mu, and the value scales
+    # back; Z is formed from mu / max mu, so that it overflows only where
+    # a prior mass is subnormal, and inf is then the (trivial) upper bound.
     pos = prior > 0.0
     w = prior[pos]
     top = float(m.max())
-    z = m[pos] / top / w
+    with np.errstate(over="ignore"):
+        z = m[pos] / top / w
     z_top = float(z.max())
+    if z_top == INF:
+        return INF
     z /= z_top
+    k = phi.conjugate_minimisers(w, z)
+    best = _bracket_search(w, z, phi) if k is None else float(_objective(w, z, phi, k).min())
+    return top * (z_top * best)
+
+
+def _objective(w: np.ndarray, z: np.ndarray, phi: OrliczFunction,
+               k: np.ndarray) -> np.ndarray:
+    """(1 + sum w phi*(k z)) / k at every k, from one `conjugate_array` call."""
+    with np.errstate(over="ignore"):
+        conj = phi.conjugate_array(np.multiply.outer(k, z).reshape(-1))
+        return (1.0 + conj.reshape(k.size, z.size).dot(w)) / k
+
+
+def _bracket_search(w: np.ndarray, z: np.ndarray, phi: OrliczFunction) -> float:
+    # a flat part of the quasiconvex objective is a minimum, so the grid
+    # neighbours of the best point bracket a minimiser
     lo, hi = -80.0, 80.0
     best = INF
-    with np.errstate(over="ignore"):
-        while True:
-            t = lo + (hi - lo) * _DUAL_GRID
-            k = np.exp2(t)
-            conj = phi.conjugate_array((k[:, None] * z).reshape(-1))
-            vals = (1.0 + conj.reshape(t.size, z.size).dot(w)) / k
-            i = int(vals.argmin())
-            best = min(best, float(vals[i]))
-            lo, hi = float(t[max(i - 1, 0)]), float(t[min(i + 1, t.size - 1)])
-            if hi - lo <= 1e-14 * max(1.0, abs(lo) + abs(hi)):
-                return top * (z_top * best)
+    while True:
+        t = lo + (hi - lo) * _DUAL_GRID
+        vals = _objective(w, z, phi, np.exp2(t))
+        i = int(vals.argmin())
+        best = min(best, float(vals[i]))
+        lo, hi = float(t[max(i - 1, 0)]), float(t[min(i + 1, t.size - 1)])
+        if hi - lo <= 1e-14 * max(1.0, abs(lo) + abs(hi)):
+            return best
 
 
 def _dual_norm_brute(m: np.ndarray, prior: np.ndarray, phi: OrliczFunction,

@@ -24,6 +24,19 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _BRACKET_CAP = 2.0 ** 1023
 
+# a few ulps below 1: where phi* jumps to inf at the minimiser k, the
+# rounding of k z (and of Scaled's rescaling) can step past the jump,
+# so k * _INSIDE is offered beside k
+_INSIDE = 1.0 - 2.0 ** -50
+
+
+def _toward_infinity(level: float, limit: float) -> np.ndarray:
+    """The k to use when (level + sum w phi*(k z)) / k falls to `limit`
+    = b sum w z as k -> inf, b the domain bound: phi >= 0 gives
+    phi*(y) <= b y, so the excess over the limit is at most level / k,
+    below 2**-60 relative at this k (capped at 2**1000)."""
+    return np.array([min(2.0 ** 60 * level / limit, 2.0 ** 1000)])
+
 
 @dataclass(frozen=True)
 class AffineMinorant:
@@ -42,7 +55,9 @@ class OrliczFunction:
     `conjugate_array` and `right_derivative` have numeric fallbacks here
     and are overridden with closed forms where those exist; so is
     `luxemburg_closed_form`, whose fallback returns None (the single-prior
-    norm then goes to bracketed root-finding) except at a domain bound.
+    norm then goes to bracketed root-finding) except at a domain bound,
+    and `conjugate_minimisers`, whose fallback returns None (the dual norm
+    then searches for its k).
     Every `conjugate_array` is vectorised, the numeric fallback included,
     and keeps the shape of its argument; the scalar `conjugate` is a
     one-element call of it unless a class has a scalar closed form.
@@ -51,6 +66,10 @@ class OrliczFunction:
     #: d with phi(t x) = t**d phi(x) for all t > 0 (inf for a 0/inf
     #: indicator), or None when phi is not positively homogeneous
     homogeneity_degree: Optional[float] = None
+
+    #: lim phi(x)/x as x -> inf (inf for superlinear phi), or None when not
+    #: known; phi* is infinite above it
+    asymptotic_slope: Optional[float] = None
 
     @property
     def domain_bound(self) -> float:
@@ -76,6 +95,20 @@ class OrliczFunction:
         top = float(np.max(abs_x))
         at_bound = self._eval_array(np.minimum(abs_x / top * bound, bound))
         return top / bound if float(np.dot(weights, at_bound)) <= 1.0 else None
+
+    def conjugate_minimisers(self, weights: np.ndarray, z: np.ndarray,
+                             level: float = 1.0) -> Optional[np.ndarray]:
+        """Candidate k > 0 at which (level + sum weights * phi*(k z)) / k
+        attains or approaches its infimum over k > 0, or None when phi
+        has no closed form for them. `weights` are a prior's positive
+        masses and z >= 0 a density on them with max z = 1.
+
+        Every class below uses the same fact: the derivative of the
+        objective is (h(k) - level) / k**2 with h(k) = sum weights *
+        psi(k z) and psi(y) = y phi*'(y) - phi*(y) nondecreasing, so the
+        infimum sits where h first reaches level.
+        """
+        return None
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -105,6 +138,11 @@ class OrliczFunction:
         flat = ys.reshape(-1)
         out = np.zeros(flat.size)
         pos = flat > 0.0
+        slope = self.asymptotic_slope
+        if slope is not None:
+            # x y - phi(x) grows without bound above the asymptotic slope
+            out[flat > slope] = INF
+            pos &= flat <= slope
         if pos.any():
             out[pos] = self._conjugate_search(flat[pos])
         return out.reshape(ys.shape)
@@ -126,7 +164,7 @@ class OrliczFunction:
             grow = np.arange(y.size)
             while grow.size:
                 g_up = self._g(2.0 * hi[grow], y[grow])
-                keep = g_up >= g_hi[grow]
+                keep = g_up > g_hi[grow]
                 grow = grow[keep]
                 hi[grow] *= 2.0
                 g_hi[grow] = g_up[keep]
@@ -278,6 +316,17 @@ class Power(OrliczFunction):
         with np.errstate(over="ignore"):
             return (self.p - 1.0) * self.p ** (-q) * ys ** q
 
+    def conjugate_minimisers(self, weights: np.ndarray, z: np.ndarray,
+                             level: float = 1.0) -> np.ndarray:
+        if self.p == 1.0:
+            # phi* = 0 up to 1 and inf past it: the largest k with k z <= 1
+            k = 1.0 / float(np.max(z))
+            return np.array([k, k * _INSIDE])
+        # psi(y) = y**q / p**q, so h(k) = level at k = p (level / E z**q)**(1/q)
+        q = self.p / (self.p - 1.0)
+        s = float(np.dot(weights, z ** q))
+        return np.array([self.p * math.exp((math.log(level) - math.log(s)) / q)])
+
     def right_derivative(self, x: float) -> float:
         if self.p == 1.0:
             return 1.0
@@ -324,6 +373,16 @@ class Exponential(OrliczFunction):
         # inf - inf above where y / beta is inf: phi* is inf there
         return np.where(ys <= self.beta, 0.0, np.where(r < INF, out, INF))
 
+    def conjugate_minimisers(self, weights: np.ndarray, z: np.ndarray,
+                             level: float = 1.0) -> np.ndarray:
+        # psi(y) = max(0, y / beta - 1); over z sorted descending, h(k) is
+        # the max of the prefix lines k Z_m / beta - W_m (W_m, Z_m prefix
+        # sums of w and w z), so h(k) <= level up to beta min (level + W_m) / Z_m
+        order = np.argsort(z)[::-1]
+        w_m = np.cumsum(weights[order])
+        z_m = np.cumsum((weights * z)[order])
+        return np.array([self.beta * float(np.min((level + w_m) / z_m))])
+
     def right_derivative(self, x: float) -> float:
         return self.beta * math.exp(self.beta * x)
 
@@ -351,6 +410,11 @@ class EssSupIndicator(OrliczFunction):
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         return np.atleast_1d(np.asarray(y, dtype=float)).copy()
+
+    def conjugate_minimisers(self, weights: np.ndarray, z: np.ndarray,
+                             level: float = 1.0) -> np.ndarray:
+        # phi*(y) = y: the objective level / k + sum w z falls as k grows
+        return _toward_infinity(level, float(np.dot(weights, z)))
 
     def right_derivative(self, x: float) -> float:
         return 0.0 if x < 1.0 else INF
@@ -428,6 +492,27 @@ class PiecewiseLinear(OrliczFunction):
         idx = int(np.searchsorted(self._knots, x, side="right")) - 1
         return 0.0 if idx < 0 else self.slopes[idx]
 
+    def conjugate_minimisers(self, weights: np.ndarray, z: np.ndarray,
+                             level: float = 1.0) -> np.ndarray:
+        # for slopes[i-1] < y < slopes[i] phi* takes its sup at
+        # breakpoints[i], so psi(y) = phi(breakpoints[i]) rises by
+        # slopes[i] * (next knot - breakpoints[i]) as y crosses slopes[i]
+        # (to phi(bound) past the top slope, or to inf without a bound).
+        # h(k) steps at k = slopes[i] / z_j; the infimum is at the first
+        # step where h reaches level, or as k -> inf if it never does.
+        pos = z > 0.0
+        ends = np.append(self._knots[1:], INF if self.bound is None else self.bound)
+        rise = np.asarray(self.slopes) * (ends - self._knots)
+        steps = np.divide.outer(self.slopes, z[pos]).reshape(-1)
+        order = np.argsort(steps)
+        h = np.cumsum(np.multiply.outer(rise, weights[pos]).reshape(-1)[order])
+        i = int(np.searchsorted(h, level))
+        if i == h.size:
+            # phi*(y) = bound y - phi(bound) past the top slope
+            return _toward_infinity(level, self.bound * float(np.dot(weights, z)))
+        k = float(steps[order[i]])
+        return np.array([k, k * _INSIDE])
+
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         # x y - phi(x) is piecewise linear in x, so the sup sits at a knot
         # (or at the domain bound); beyond the top slope it is infinite.
@@ -492,6 +577,14 @@ class Scaled(OrliczFunction):
         d = self.one_plus_gamma
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         return self.inner.conjugate_array(d * ys / self.theta) / d
+
+    def conjugate_minimisers(self, weights: np.ndarray, z: np.ndarray,
+                             level: float = 1.0) -> Optional[np.ndarray]:
+        # with k' = d k / theta the objective is
+        # (d level + sum w inner*(k' z)) / (theta k'): inner's at level d
+        d = self.one_plus_gamma
+        k = self.inner.conjugate_minimisers(weights, z, d * level)
+        return None if k is None else k * (self.theta / d)
 
     def right_derivative(self, x: float) -> float:
         d = self.inner.right_derivative(self.theta * x)

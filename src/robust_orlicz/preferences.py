@@ -26,6 +26,9 @@ NORMALISATION_TOL = 1e-9
 class Utility:
     """Concave nondecreasing u on the reals with u(0) = 0."""
 
+    #: lim -u(-x)/x as x -> inf (inf for superlinear loss)
+    asymptotic_slope: float
+
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -43,6 +46,10 @@ class LinearUtility(Utility):
         if self.slope <= 0:
             raise ValidationError("utility slope must be positive")
 
+    @property
+    def asymptotic_slope(self) -> float:
+        return self.slope
+
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         return self.slope * x
 
@@ -54,6 +61,7 @@ class CARAUtility(Utility):
 
     beta: float
     scale: float
+    asymptotic_slope = INF
 
     def __post_init__(self):
         if self.beta <= 0 or self.scale <= 0:
@@ -89,6 +97,11 @@ class PiecewiseLinearUtility(Utility):
             raise ValidationError("utility must be nondecreasing")
         object.__setattr__(self, "knots", kn)
         object.__setattr__(self, "slopes", sl)
+
+    @property
+    def asymptotic_slope(self) -> float:
+        # slopes[0] extends left, so it is the slope of -u(-x) as x -> inf
+        return self.slopes[0]
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         kn = np.asarray(self.knots)
@@ -175,6 +188,10 @@ class AggregateOrlicz(OrliczFunction):
     @property
     def domain_bound(self) -> float:
         return INF
+
+    @property
+    def asymptotic_slope(self) -> float:
+        return max(u.asymptotic_slope / d for u, d in self.terms)
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         out = np.full(x.shape, -INF)
