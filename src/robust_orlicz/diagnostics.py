@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import MeasureVector, ScenarioModel, canonicalise
-from .norms import (DEFAULT_TOL, OrliczFamily, _compact_groups, _compact_modular,
-                    sup_prior_norms)
+from .norms import DEFAULT_TOL, OrliczFamily, _blocks, _modulars, sup_prior_norms
 
 INF = math.inf
 
@@ -236,12 +235,16 @@ def tail_membership(ladder: Sequence[Truncation],
 def _per_prior_alpha_search(model: ScenarioModel, abs_x: np.ndarray,
                             family: OrliczFamily, k_max: int = 60) -> bool:
     """Every prior admits some alpha = 2^{-k} with a finite modular."""
-    for labels, w, a in _compact_groups(model, abs_x):
-        for label in labels:
-            phi = family.phi(label)
-            if not any(_compact_modular(w, a, phi, 2.0 ** k) < INF
-                       for k in range(k_max + 1)):
-                return False
+    for phi, a, masses, _ in _blocks(model, abs_x, family):
+        # the priors of a block try each alpha with one phi evaluation
+        pending = list(range(len(masses)))
+        for k in range(k_max + 1):
+            mods = _modulars((masses[j] for j in pending), a, phi, 2.0 ** k)
+            pending = [j for j, m in zip(pending, mods) if not m < INF]
+            if not pending:
+                break
+        if pending:
+            return False
     return True
 
 
@@ -352,9 +355,13 @@ def mixture_witness(model: ScenarioModel, x, family: OrliczFamily,
     if not 0.0 < alpha < INF:
         raise ValidationError("alpha must be finite and positive")
     chosen = set(sel)
-    mods = {l: _compact_modular(w, a, family.phi(l), 1.0 / alpha)
-            for labels, w, a in _compact_groups(model, abs_x)
-            for l in labels if l in chosen}
+    mods = {}
+    for phi, a, masses, labels in _blocks(model, abs_x, family):
+        picked = [j for j, member in enumerate(labels) if not chosen.isdisjoint(member)]
+        if picked:
+            values = _modulars((masses[j] for j in picked), a, phi, 1.0 / alpha)
+            for j, m in zip(picked, values):
+                mods.update(dict.fromkeys(labels[j], m))
     raw = np.zeros(model.n_atoms)
     contributions = []
     bound = 0.0

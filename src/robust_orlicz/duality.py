@@ -11,7 +11,8 @@ The conjugate route takes the k that minimise the objective from phi's
 `PiecewiseLinear`, `EssSupIndicator` and `Scaled` of these, and
 evaluates the objective there with one `conjugate_array` call. Classes
 without that closed form (`AggregateOrlicz`) fall back to a batched
-bracket search on t = log2 k over [-80, 80]: each round evaluates the
+bracket search on t = log2 k over [-80, min(80 + log2(1/p), 1023)], p
+the smallest prior mass that mu charges: each round evaluates the
 objective on a fixed grid of t with one `conjugate_array` call on the
 outer product k (x) Z and one mat-vec against P, and the two grid
 neighbours of the best point bracket the next round, until the bracket
@@ -122,8 +123,11 @@ def _objective(w: np.ndarray, z: np.ndarray, phi: OrliczFunction,
 
 def _bracket_search(w: np.ndarray, z: np.ndarray, phi: OrliczFunction) -> float:
     # a flat part of the quasiconvex objective is a minimum, so the grid
-    # neighbours of the best point bracket a minimiser
-    lo, hi = -80.0, 80.0
+    # neighbours of the best point bracket a minimiser. Where the density
+    # sits on an atom of mass p, the minimiser is about phi'(phi^{-1}(1/p)),
+    # so the top of the range grows by log2(1/p) for the lightest charged
+    # atom, up to the largest finite power of 2
+    lo, hi = -80.0, min(80.0 - math.log2(float(w[z > 0.0].min())), 1023.0)
     best = INF
     while True:
         t = lo + (hi - lo) * _DUAL_GRID

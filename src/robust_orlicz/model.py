@@ -57,7 +57,10 @@ class ScenarioModel:
     `prior_groups` partitions the prior indices by equal mass vectors, in
     order of first occurrence: ((0, 1, 2),) for three copies of one law.
     Kernels that work per prior vector, not per (prior, phi) pair, gather
-    once per group. Only the indices are kept.
+    once per group. `support_classes` partitions the indices of
+    `prior_groups` by equal supports (the atoms a prior charges), in the
+    same order; priors of one class keep the same atoms for any X. Only
+    the indices are kept.
     """
 
     atoms: tuple
@@ -67,6 +70,8 @@ class ScenarioModel:
     support_mask: np.ndarray = field(init=False, repr=False, compare=False)
     #: prior indices grouped by equal mass vectors
     prior_groups: tuple = field(init=False, repr=False, compare=False)
+    #: indices of prior_groups grouped by equal supports
+    support_classes: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, atoms: Sequence[str], priors: Iterable, prior_labels=None):
         atoms = tuple(str(a) for a in atoms)
@@ -101,7 +106,12 @@ class ScenarioModel:
         object.__setattr__(self, "prior_labels", prior_labels)
         support.setflags(write=False)
         object.__setattr__(self, "support_mask", support)
-        object.__setattr__(self, "prior_groups", _group_equal(mats))
+        groups = _group_equal(mats)
+        object.__setattr__(self, "prior_groups", groups)
+        classes: dict = {}  # one support's bytes per class, not one per prior
+        for j, g in enumerate(groups):
+            classes.setdefault((mats[g[0]] > 0.0).tobytes(), []).append(j)
+        object.__setattr__(self, "support_classes", tuple(map(tuple, classes.values())))
 
     @property
     def n_atoms(self) -> int:

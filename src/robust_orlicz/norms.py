@@ -10,21 +10,35 @@ midpoint), and certified on the joint modular at the two ends of a small
 bracket.
 
 The model-level kernels (`sup_prior_norms`, the certificate, `modular`)
-work per group of equal priors (`ScenarioModel.prior_groups`): each call
-gathers the prior's masses and |X| once per group, on the atoms the prior
-charges where X is nonzero, and runs every phi of the group on those
-compact arrays. Atoms where X is 0 are dropped because phi(0) = 0; that
-changes only the summation order of a modular, so results are
-bit-identical to the per-prior route wherever X has no zero on the
-support. `single_prior_luxemburg` and `single_prior_modular` gather on
-prior > 0 alone and keep their exact arithmetic.
+work on the atoms a prior charges where X is nonzero. Atoms where X is 0
+are dropped because phi(0) = 0; that changes only the summation order of
+a modular, so results are bit-identical to the per-prior route wherever
+X has no zero on the support. `single_prior_luxemburg` and
+`single_prior_modular` gather on prior > 0 alone and keep their exact
+arithmetic.
+
+Priors with equal supports (`ScenarioModel.support_classes`) keep the
+same atoms for any X, so they share |X| on them; those that also share
+one phi object (`OrliczFamily.shared`) form a block, and a prior with a
+phi of its own is a block of one. A block evaluates phi(|X| / lam) once
+per lam and takes one dot product with each prior's masses: in the
+certificate's joint modular, in `modular`, and in the bracketing ladders
+of the single-prior root-finders, which run in lockstep over the block
+from lam = 1 (`_brackets`); the Illinois steps after them stay per prior.
+Each value and each dot product is the same arithmetic as for the prior
+alone, so per-prior norms, step counts, brackets and modulars are
+bit-identical to it. A block holds at most one phi evaluation: the
+masses are the priors themselves when they keep every atom and are
+gathered one prior at a time otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import (Callable, Dict, Generator, Iterable, Iterator, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -49,12 +63,21 @@ _CERT_HALF_WIDTH = 0.45
 
 @dataclass(frozen=True)
 class OrliczFamily:
-    """Assignment of one Orlicz function to each prior of a model."""
+    """Assignment of one Orlicz function to each prior of a model.
+
+    `shared` holds the ids of the function objects assigned to more than
+    one prior: the kernels evaluate those once for all their priors.
+    """
 
     functions: Mapping[str, OrliczFunction]
+    shared: frozenset = field(init=False, repr=False, compare=False)
 
     def __init__(self, functions: Mapping[str, OrliczFunction]):
         object.__setattr__(self, "functions", dict(functions))
+        ids = list(map(id, self.functions.values()))
+        shared = () if len(set(ids)) == len(ids) else (
+            i for i, count in Counter(ids).items() if count > 1)
+        object.__setattr__(self, "shared", frozenset(shared))
 
     def phi(self, label: str) -> OrliczFunction:
         try:
@@ -157,25 +180,105 @@ def _check_scale(lam: float) -> None:
 def _compact_modular(w: np.ndarray, a: np.ndarray, phi: OrliczFunction,
                      lam: float) -> float:
     """sum w * phi(a / lam) for positive masses w; phi >= 0, so the dot
-    product is inf exactly when some phi(a / lam) is."""
-    return float(np.dot(w, phi._eval_array(a / lam)))
+    product is inf exactly when some phi(a / lam) is. (values.dot(w) is
+    the same BLAS dot as np.dot(w, values), without its dispatch.)"""
+    return float(phi._eval_array(a / lam).dot(w))
+
+
+def _modulars(masses: Iterable[np.ndarray], a: np.ndarray, phi: OrliczFunction,
+              lam: float) -> list:
+    """`_compact_modular` for each w in `masses`, from one evaluation of
+    phi(a / lam)."""
+    values = phi._eval_array(a / lam)
+    return list(map(float, map(values.dot, masses)))
 
 
 def _compact_groups(model: ScenarioModel, abs_x: np.ndarray,
                     first: Optional[str] = None) -> Iterator[tuple]:
-    """(labels, masses, |X|) per group of equal priors, on the atoms the
-    prior charges where |X| > 0; gathered one group at a time. With
-    `first`, that prior's group comes first and the prior first in it."""
-    labels, groups = model.prior_labels, model.prior_groups
+    """(labels, prior, keep) per group of equal priors, one support class
+    after the other: keep marks the atoms the prior charges where
+    |X| > 0; it is one object per class, and None when those atoms are
+    all the atoms. With `first`, that prior's class comes first, its group
+    first in the class and the prior first in the group."""
+    labels, groups, classes = model.prior_labels, model.prior_groups, model.support_classes
     if first is not None:
         k = labels.index(first)
-        groups = sorted((sorted(g, key=lambda i: i != k) for g in groups),
-                        key=lambda g: g[0] != k)
+        c, g = next((c, g) for c, members in enumerate(classes)
+                    for g in members if k in groups[g])
+        groups, group, classes, members = list(groups), list(groups[g]), list(classes), list(classes[c])
+        group.remove(k)
+        groups[g] = [k] + group
+        members.remove(g)
+        del classes[c]
+        classes.insert(0, [g] + members)
     nonzero = abs_x > 0.0
-    for group in groups:
-        prior = model.priors[group[0]]
-        keep = (prior > 0.0) & nonzero
-        yield [labels[i] for i in group], prior[keep], abs_x[keep]
+    for members in classes:
+        keep = (model.priors[groups[members[0]][0]] > 0.0) & nonzero
+        if np.count_nonzero(keep) == keep.size:
+            keep = None
+        for j in members:
+            group = groups[j]
+            yield list(map(labels.__getitem__, group)), model.priors[group[0]], keep
+
+
+class _Gathered:
+    """The masses of several priors on one keep mask, gathered afresh on
+    each access, so that a block never holds all of them at once."""
+
+    def __init__(self, priors: list, keep: np.ndarray):
+        self.priors, self.keep = priors, keep
+
+    def __len__(self) -> int:
+        return len(self.priors)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.priors[i][self.keep]
+
+
+def _blocks(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamily,
+            first: Optional[str] = None) -> Iterator[tuple]:
+    """(phi, a, masses, labels) per block: the priors of a support class
+    whose phi is one shared object, or a prior with a phi of its own. a is
+    |X| on the atoms they keep, masses[j] is member j's masses there and
+    labels[j] its labels. Blocks follow `_compact_groups`, a shared phi's
+    at the end of its class; with `first`, that prior's class comes first
+    and the prior first in its block."""
+    phi_of, shared_ids = family.phi, family.shared
+    shared: dict = {}  # of the current class: id(phi) -> (phi, priors, labels)
+    keep, a = False, abs_x
+    for labels, prior, group_keep in _compact_groups(model, abs_x, first):
+        if group_keep is not keep:
+            if shared:
+                yield from _shared_blocks(shared, a, keep)
+                shared = {}
+            keep = group_keep
+            a = abs_x if keep is None else abs_x[keep]
+        w = None
+        for label in labels:
+            phi = phi_of(label)
+            if id(phi) not in shared_ids:
+                if w is None:
+                    w = prior if keep is None else prior[keep]
+                yield phi, a, [w], [[label]]
+                continue
+            block = shared.get(id(phi))
+            if block is None:
+                shared[id(phi)] = (phi, [prior], [[label]])
+            elif block[1][-1] is prior:
+                block[2][-1].append(label)
+            else:
+                block[1].append(prior)
+                block[2].append([label])
+    if shared:
+        yield from _shared_blocks(shared, a, keep)
+
+
+def _shared_blocks(shared: dict, a: np.ndarray, keep) -> list:
+    """The blocks of the shared phis of a support class; their masses are
+    the priors themselves when those keep all the atoms, and else gathered
+    on each access."""
+    return [(phi, a, priors if keep is None else _Gathered(priors, keep), labels)
+            for phi, priors, labels in shared.values()]
 
 
 def single_prior_modular(prior: np.ndarray, phi: OrliczFunction,
@@ -192,22 +295,72 @@ def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily) -> float:
     _check_scale(lam)
     abs_x = np.abs(canonicalise(model, x).values)
     best = 0.0
-    for labels, w, a in _compact_groups(model, abs_x):
-        for label in labels:
-            m = _compact_modular(w, a, family.phi(label), lam)
-            if m > best:
-                best = m
+    for phi, a, masses, _ in _blocks(model, abs_x, family):
+        best = max(best, *_modulars(masses, a, phi, lam))
     return best
 
 
 # -- norms ----------------------------------------------------------------
 
 
+def _ladder() -> Generator[float, float, tuple]:
+    """The bracketing ladder of `_norm_bisection`: halves or doubles lam
+    from 1 until a nonincreasing modular crosses 1. It yields each lam to
+    evaluate and is sent the modular there; it returns
+    (lo, m_lo, hi, m_hi, steps) with m_lo > 1 >= m_hi, where
+    lo < _LAMBDA_FLOOR (m_lo None) means the modular stays <= 1 down to
+    there and hi > _LAMBDA_CAP (m_hi None) that it stays > 1 up to there.
+    """
+    it = 0
+    m = yield 1.0
+    if m <= 1.0:
+        hi, m_hi, lo = 1.0, m, 0.5
+        m_lo = yield lo
+        while m_lo <= 1.0:
+            hi, m_hi, lo = lo, m_lo, lo / 2.0
+            it += 1
+            if lo < _LAMBDA_FLOOR:
+                return lo, None, hi, m_hi, it
+            m_lo = yield lo
+    else:
+        lo, m_lo, hi = 1.0, m, 2.0
+        m_hi = yield hi
+        while m_hi > 1.0:
+            lo, m_lo, hi = hi, m_hi, hi * 2.0
+            it += 1
+            if hi > _LAMBDA_CAP:
+                return lo, m_lo, hi, None, it
+            m_hi = yield hi
+    return lo, m_lo, hi, m_hi, it
+
+
+def _brackets(mods: Callable[[float, list], list], n: int) -> list:
+    """The outcomes of n `_ladder`s run in lockstep: mods(lam, idx) gives
+    the modulars of the members idx at lam, so all ladders that ask for
+    the same lam share one call."""
+    ladders = [_ladder() for _ in range(n)]
+    for ladder in ladders:
+        next(ladder)  # every ladder starts at lam = 1
+    asks = {1.0: list(range(n))}
+    out: list = [None] * n
+    while asks:
+        nxt: dict = {}
+        for lam, idx in asks.items():
+            for i, m in zip(idx, mods(lam, idx)):
+                try:
+                    nxt.setdefault(ladders[i].send(m), []).append(i)
+                except StopIteration as done:
+                    out[i] = done.value
+        asks = nxt
+    return out
+
+
 def _norm_bisection(mod: Callable[[float], float], tol: float,
-                    max_iter: int) -> tuple:
+                    max_iter: int, start: Optional[tuple] = None) -> tuple:
     """inf{lam > 0 : mod(lam) <= 1} for a nonincreasing modular `mod`.
 
-    Brackets the root by halving or doubling lam from 1, then narrows the
+    Brackets the root by halving or doubling lam from 1 (`_ladder`;
+    `start` is its outcome when it was run already), then narrows the
     bracket [lo, hi] (mod(lo) > 1 >= mod(hi)) until hi - lo <= tol * hi,
     by Illinois regula falsi on (log lam, log mod). Each step lands at
     least tol * hi / 2 inside the bracket, so an estimate at the root
@@ -218,26 +371,19 @@ def _norm_bisection(mod: Callable[[float], float], tol: float,
     which keeps the worst case near bisection's step count.
     Returns (value, (lo, hi), steps); value may be 0.0 or inf.
     """
-    it = 0
-    m = mod(1.0)
-    if m <= 1.0:
-        hi, m_hi, lo = 1.0, m, 0.5
-        m_lo = mod(lo)
-        while m_lo <= 1.0:
-            hi, m_hi, lo = lo, m_lo, lo / 2.0
-            it += 1
-            if lo < _LAMBDA_FLOOR:
-                return 0.0, (0.0, hi), it
-            m_lo = mod(lo)
-    else:
-        lo, m_lo, hi = 1.0, m, 2.0
-        m_hi = mod(hi)
-        while m_hi > 1.0:
-            lo, m_lo, hi = hi, m_hi, hi * 2.0
-            it += 1
-            if hi > _LAMBDA_CAP:
-                return INF, (lo, INF), it
-            m_hi = mod(hi)
+    if start is None:
+        ladder = _ladder()
+        lam = next(ladder)
+        try:
+            while True:
+                lam = ladder.send(mod(lam))
+        except StopIteration as done:
+            start = done.value
+    lo, m_lo, hi, m_hi, it = start
+    if lo < _LAMBDA_FLOOR:
+        return 0.0, (0.0, hi), it
+    if hi > _LAMBDA_CAP:
+        return INF, (lo, INF), it
     # Illinois weights: the log modular at each end, halved at an end
     # that two steps in a row kept
     f_lo = math.log(m_lo) if m_lo < INF else None
@@ -276,29 +422,40 @@ def _norm_bisection(mod: Callable[[float], float], tol: float,
     return 0.5 * (lo + hi), (lo, hi), it
 
 
-def _compact_norm(w: np.ndarray, a: np.ndarray, phi: OrliczFunction,
-                  tol: float, max_iter: int) -> Tuple[float, int]:
-    """(norm, root-finder steps) of |X| under one prior, from the prior's
-    positive masses w and |X| on those atoms (atoms where X is 0 may be
-    left out)."""
-    top = float(np.max(a)) if a.size else 0.0
-    if top == INF:
-        return INF, 0
-    if top == 0.0:
-        return 0.0, 0
+def _block_norms(masses: Sequence[np.ndarray], a: np.ndarray, phi: OrliczFunction,
+                 tol: float, max_iter: int) -> list:
+    """(norm, root-finder steps) of |X| under each prior of a block: a is
+    |X| on the block's atoms (atoms where X is 0 may be left out) and
+    masses[j] prior j's positive masses there. The priors share phi, so
+    the root-finders' ladders run in lockstep with one phi evaluation per
+    lam (`_brackets`); each then narrows its own bracket."""
+    top = float(a.max()) if a.size else 0.0
+    if top == INF or top == 0.0:
+        return [(top, 0)] * len(masses)
     degree = phi.homogeneity_degree
-    if degree is not None and degree < INF and abs(degree * math.log2(top)) > _EXP_RANGE:
-        # |X|**degree would leave the float range: take the closed form
-        # of |X| / max|X| and scale back (exact by homogeneity)
-        value = top * phi.luxemburg_closed_form(w, a / top)
-    else:
-        value = phi.luxemburg_closed_form(w, a)
-    if value is not None:
-        return value, 0
-    y = a / top
-    lam, _, steps = _norm_bisection(lambda lam: _compact_modular(w, y, phi, lam),
-                                    tol / 2.0, max_iter)
-    return top * lam, steps
+    # |X|**degree would leave the float range: take the closed form of
+    # |X| / max|X| and scale back (exact by homogeneity)
+    rescale = degree is not None and degree < INF and abs(degree * math.log2(top)) > _EXP_RANGE
+    y = a / top if rescale else None
+    out, pending = [], []
+    for j, w in enumerate(masses):
+        value = top * phi.luxemburg_closed_form(w, y) if rescale else phi.luxemburg_closed_form(w, a)
+        out.append((value, 0))
+        if value is None:
+            pending.append(j)
+    if pending:
+        if y is None:
+            y = a / top
+        # a block of one runs its ladder in `_norm_bisection`
+        starts = [None] if len(pending) == 1 else _brackets(
+            lambda lam, idx: _modulars((masses[pending[i]] for i in idx), y, phi, lam),
+            len(pending))
+        for j, start in zip(pending, starts):
+            w = masses[j]
+            lam, _, steps = _norm_bisection(lambda lam: _compact_modular(w, y, phi, lam),
+                                            tol / 2.0, max_iter, start)
+            out[j] = (top * lam, steps)
+    return out
 
 
 def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
@@ -315,8 +472,8 @@ def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
     """
     _check_tol(tol)
     pos = prior > 0.0
-    value, steps = _compact_norm(prior[pos], np.abs(np.asarray(x, dtype=float))[pos],
-                                 phi, tol, max_iter)
+    [(value, steps)] = _block_norms([prior[pos]], np.abs(np.asarray(x, dtype=float))[pos],
+                                    phi, tol, max_iter)
     return (value, steps) if with_steps else value
 
 
@@ -327,9 +484,10 @@ def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamil
     norms, and the root-finder steps of the prior attaining the sup."""
     _check_tol(tol)
     found: Dict[str, Tuple[float, int]] = {}
-    for labels, w, a in _compact_groups(model, abs_x):
-        for label in labels:
-            found[label] = _compact_norm(w, a, family.phi(label), tol, max_iter)
+    for phi, a, masses, labels in _blocks(model, abs_x, family):
+        for member, result in zip(labels, _block_norms(masses, a, phi, tol, max_iter)):
+            for label in member:
+                found[label] = result
     per_prior: Dict[str, float] = {}
     best, best_steps = 0.0, 0
     for label in model.prior_labels:
@@ -341,7 +499,7 @@ def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamil
 
 
 def _certify(model: ScenarioModel, abs_x: np.ndarray, value: float, delta: float,
-             phis: Mapping[str, OrliczFunction], offsets: Mapping[str, float],
+             family: OrliczFamily, offsets: Mapping[str, float],
              first: str) -> Tuple[tuple, float]:
     """Certify value = inf{lam : M(lam) <= 1} within delta, where
     M(lam) = sup_P (E_P[phi_P(|X|/lam)] - offset_P): M <= 1 at value +
@@ -349,19 +507,25 @@ def _certify(model: ScenarioModel, abs_x: np.ndarray, value: float, delta: float
     the support; inf by M > 1 at 2**1023. Returns (bracket, M at its upper
     end) or raises ConsistencyError. Prior `first` is tried first where
     one prior above 1 settles the check. Both ends are evaluated in one
-    pass over the prior groups.
+    pass over the blocks.
     """
 
     def joint(hi: Optional[float], lo: Optional[float]) -> Tuple[float, float]:
         # M at hi over every prior; M at lo only until it exceeds 1
         at_hi = at_lo = -INF
-        for labels, w, a in _compact_groups(model, abs_x, first):
-            for label in labels:
-                phi, offset = phis[label], offsets[label]
-                if hi is not None:
-                    at_hi = max(at_hi, _compact_modular(w, a, phi, hi) - offset)
-                if lo is not None and not at_lo > 1.0:
-                    at_lo = max(at_lo, _compact_modular(w, a, phi, lo) - offset)
+        for phi, a, masses, labels in _blocks(model, abs_x, family, first):
+            if hi is not None:
+                for member, m in zip(labels, _modulars(masses, a, phi, hi)):
+                    for label in member:
+                        at_hi = max(at_hi, m - offsets[label])
+            if lo is not None and not at_lo > 1.0:
+                values = phi._eval_array(a / lo)
+                for member, w in zip(labels, masses):
+                    m = float(values.dot(w))
+                    for label in member:
+                        at_lo = max(at_lo, m - offsets[label])
+                    if at_lo > 1.0:
+                        break
         return at_hi, at_lo
 
     if value == 0.0:
@@ -407,7 +571,7 @@ def luxemburg_norm(model: ScenarioModel, x, family: OrliczFamily,
     value, per_prior, steps = sup_prior_norms(model, abs_x, family, tol, max_iter)
     bracket, mod_at = _certify(
         model, abs_x, value, _CERT_HALF_WIDTH * tol * max(1.0, value),
-        family.functions, dict.fromkeys(model.prior_labels, 0.0), _argmax(per_prior))
+        family, dict.fromkeys(model.prior_labels, 0.0), _argmax(per_prior))
     return NormResult(value=value, bracket=bracket, modular_at_value=mod_at,
                       iterations=steps, per_prior_norms=per_prior)
 
@@ -428,7 +592,7 @@ def penalised_norm(model: ScenarioModel, x, phi: OrliczFunction,
     family = OrliczFamily.additively_penalised(model, phi, gamma)
     res = luxemburg_norm(model, abs_x, family, tol=tol, max_iter=max_iter)
     _certify(model, abs_x, res.value, 2.0 * tol * max(1.0, res.value),
-             dict.fromkeys(model.prior_labels, phi),
+             OrliczFamily.uniform(model, phi),
              {l: float(gamma[l]) for l in model.prior_labels},
              _argmax(res.per_prior_norms))
     return res

@@ -479,7 +479,8 @@ class PiecewiseLinear(OrliczFunction):
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._knots, x, side="right") - 1
         below = idx < 0
-        idx = np.clip(idx, 0, len(self._knots) - 1)
+        # np.clip on integers looks up np.iinfo on every call
+        idx = np.minimum(np.maximum(idx, 0), len(self._knots) - 1)
         out = self._values[idx] + np.asarray(self.slopes)[idx] * (x - self._knots[idx])
         out = np.where(below, 0.0, out)
         if self.bound is not None:
