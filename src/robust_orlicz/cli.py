@@ -39,28 +39,32 @@ def _load_json(path: str):
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    if text.startswith("@"):
-        data = _load_json(text[1:])
-        return np.asarray([decode_float(v) for v in data], dtype=float)
+    items = _load_json(text[1:]) if text.startswith("@") else [
+        t for t in text.split(",") if t.strip()]
     try:
-        return np.asarray([decode_float(t.strip()) for t in text.split(",") if t.strip()],
-                          dtype=float)
-    except ValueError:
+        return np.asarray([decode_float(v) for v in items], dtype=float)
+    except (TypeError, ValueError):
         raise ValidationError(f"cannot parse vector {text!r}") from None
+
+
+def _parse_number(text: str) -> float:
+    v = _parse_vector(text)
+    if v.size != 1:
+        raise ValidationError(f"expected one number, got {text!r}")
+    return float(v[0])
 
 
 def _parse_mapping(text: str, model: ScenarioModel) -> dict:
     """Either a single number applied to every prior or label=value pairs."""
     text = text.strip()
     if "=" not in text:
-        v = decode_float(text)
-        return {l: v for l in model.prior_labels}
+        return dict.fromkeys(model.prior_labels, _parse_number(text))
     out = {}
     for part in text.split(","):
         if not part.strip():
             continue
         label, _, val = part.partition("=")
-        out[label.strip()] = decode_float(val.strip())
+        out[label.strip()] = _parse_number(val)
     return out
 
 
@@ -210,7 +214,7 @@ def cmd_ui_profile(args) -> int:
     model = _model(args)
     family = _family(args, model)
     rep = domination.dominating_measure(model, family, n_order_pairs=0)
-    grid = [decode_float(c) for c in (args.c_grid or "0,1,2,4,8").split(",")]
+    grid = _parse_vector(args.c_grid or "0,1,2,4,8")
     prof = domination.uniform_integrability_report(model, rep.pstar, grid)
     rows = [["c", "value"]] + [[c, v] for c, v in prof.profile]
     _emit(args, prof.to_dict(), csv_rows=rows)
@@ -218,8 +222,8 @@ def cmd_ui_profile(args) -> int:
 
 
 def _ladder_from_args(args, model=None, family=None, x=None):
-    if args.gaussian_ladder:
-        n = int(args.gaussian_ladder)
+    if args.gaussian_ladder is not None:
+        n = args.gaussian_ladder
         rungs = sorted({max(1, n // 2), max(1, 3 * n // 4), n})
         return [diagnostics.gaussian_power_ladder(k, T=args.T, h=args.h)
                 for k in rungs]
@@ -230,7 +234,7 @@ def _ladder_from_args(args, model=None, family=None, x=None):
 
 
 def cmd_membership(args) -> int:
-    if args.gaussian_ladder:
+    if args.gaussian_ladder is not None:
         ladder = _ladder_from_args(args)
     else:
         model = _model(args)
@@ -242,13 +246,13 @@ def cmd_membership(args) -> int:
 
 
 def cmd_tails(args) -> int:
-    if args.gaussian_ladder:
+    if args.gaussian_ladder is not None:
         ladder = _ladder_from_args(args)
     else:
         model = _model(args)
         family = _family(args, model)
         ladder = _ladder_from_args(args, model, family, _parse_vector(args.x))
-    levels = [decode_float(v) for v in (args.levels or "1,2,3,4,5,6,7,8").split(",")]
+    levels = _parse_vector(args.levels or "1,2,3,4,5,6,7,8")
     prof = diagnostics.tail_membership(ladder, levels, tol=args.tol)
     rows = [["level", "tail_norm", "stable"]] + [
         [l, v, s] for l, v, s in zip(prof.levels, prof.tail_norms, prof.stable)]
@@ -267,9 +271,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_mixture_witness(args) -> int:
-    if args.gaussian_ladder:
-        t = diagnostics.gaussian_power_ladder(int(args.gaussian_ladder),
-                                              T=args.T, h=args.h)
+    if args.gaussian_ladder is not None:
+        t = diagnostics.gaussian_power_ladder(args.gaussian_ladder, T=args.T, h=args.h)
         model, family, x = t.model, t.family, t.x
     else:
         model = _model(args)
@@ -360,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-grid", dest="c_grid", help="comma-separated UI grid")
     p.add_argument("--method", default="conjugate",
                    choices=["conjugate", "brute", "both"])
-    p.add_argument("--gaussian-ladder", dest="gaussian_ladder",
+    p.add_argument("--gaussian-ladder", dest="gaussian_ladder", type=int,
                    help="use the built-in Gaussian power ladder with N priors")
     p.add_argument("--T", type=float, default=10.0, help="Gaussian truncation")
     p.add_argument("--h", type=float, default=1e-3, help="Gaussian grid step")

@@ -193,6 +193,8 @@ def tail_membership(ladder: Sequence[Truncation],
     if not ladder:
         raise ValidationError("empty truncation ladder")
     levels = [float(l) for l in levels]
+    if np.isnan(levels).any():
+        raise ValidationError("levels must not contain NaN")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValidationError("levels must be strictly ascending")
     # every rung is canonicalised (and so validated); only the last two

@@ -104,6 +104,8 @@ def uniform_integrability_report(model: ScenarioModel, pstar,
     """
     p = pstar.masses if isinstance(pstar, MeasureVector) else np.asarray(pstar, dtype=float)
     c_grid = [float(c) for c in c_grid]
+    if np.isnan(c_grid).any():
+        raise ValidationError("c_grid must not contain NaN")
     if any(b < a for a, b in zip(c_grid, c_grid[1:])):
         raise ValidationError("c_grid must be ascending")
     densities: Dict[str, np.ndarray] = {}

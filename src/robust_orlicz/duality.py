@@ -190,15 +190,17 @@ class DualWitness:
 
 def derivative_density(prior: np.ndarray, phi: OrliczFunction,
                        z: np.ndarray) -> np.ndarray:
-    """P * phi'(z) atomwise, with phi' the right derivative; where phi'
-    is infinite on some atom of the prior (z at or past a domain bound,
+    """P * phi'(z) atomwise, with phi' the right derivative taken by one
+    `derivative_array` call on the prior's support; where phi' is
+    infinite on some atom of the prior (z at or past a domain bound,
     where the modular jumps to infinity) it is P on those atoms and 0
     elsewhere. Atoms outside the prior's support carry 0.
     """
-    deriv = np.array([phi.right_derivative(t) if p > 0 else 0.0
-                      for t, p in zip(z, prior)])
-    inf_mask = np.isinf(deriv) & (prior > 0)
-    if np.any(inf_mask):
+    pos = prior > 0
+    deriv = np.zeros(prior.shape)
+    deriv[pos] = phi.derivative_array(z[pos])
+    inf_mask = np.isinf(deriv)
+    if inf_mask.any():
         return np.where(inf_mask, prior, 0.0)
     return prior * deriv
 

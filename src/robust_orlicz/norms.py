@@ -586,8 +586,8 @@ def penalised_norm(model: ScenarioModel, x, phi: OrliczFunction,
     penalised modular itself at v -+ 2 tol max(1, v).
     """
     _check_labels(model, gamma, "gamma")
-    if not all(float(g) >= 0 for g in gamma.values()):
-        raise ValidationError("penalties must be nonnegative")
+    if not all(0.0 <= float(g) < INF for g in gamma.values()):
+        raise ValidationError("penalties must be finite and nonnegative")
     abs_x = np.abs(canonicalise(model, x).values)
     family = OrliczFamily.additively_penalised(model, phi, gamma)
     res = luxemburg_norm(model, abs_x, family, tol=tol, max_iter=max_iter)
@@ -623,6 +623,8 @@ def weighted_lp_norm(model: ScenarioModel, x, p: float,
 def risk_measure(model: ScenarioModel, x, gamma: Mapping[str, float]) -> float:
     """rho(X) = sup_P E_P[X] - gamma(P) for X >= 0 quasi-surely."""
     _check_labels(model, gamma, "gamma")
+    if any(math.isnan(float(gamma[l])) for l in model.prior_labels):
+        raise ValidationError("penalties must not be NaN")
     xc = canonicalise(model, x).values
     if np.any(xc < 0):
         raise ValidationError("risk_measure expects a nonnegative claim")

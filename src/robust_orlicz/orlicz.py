@@ -1,10 +1,10 @@
-"""Orlicz functions: evaluation, convex conjugates, affine minorants.
+"""Orlicz functions: evaluation, conjugates, derivatives, affine minorants.
 
 An Orlicz function here is a lower semicontinuous, nondecreasing, convex
 map phi: [0, inf) -> [0, inf] with phi(0) = 0 that is finite at some
 positive point and nonzero at some positive point. Values are plain
-floats with math.inf as the explicit +infinity sentinel; every `evaluate`
-accepts scalars or numpy arrays.
+floats with math.inf as the explicit +infinity sentinel; every quantity
+is computed on arrays, and the scalar entry points are views of those.
 """
 
 from __future__ import annotations
@@ -52,15 +52,14 @@ class AffineMinorant:
 class OrliczFunction:
     """Base class. Subclasses implement `_eval_array` and `domain_bound`.
 
-    `conjugate_array` and `right_derivative` have numeric fallbacks here
-    and are overridden with closed forms where those exist; so is
-    `luxemburg_closed_form`, whose fallback returns None (the single-prior
-    norm then goes to bracketed root-finding) except at a domain bound,
-    and `conjugate_minimisers`, whose fallback returns None (the dual norm
-    then searches for its k).
-    Every `conjugate_array` is vectorised, the numeric fallback included,
-    and keeps the shape of its argument; the scalar `conjugate` is a
-    one-element call of it unless a class has a scalar closed form.
+    `conjugate_array` (phi*) and `derivative_array` (right derivative)
+    have numeric fallbacks here, overridden by closed forms where those
+    exist; each is vectorised and keeps its argument's shape. `__call__`,
+    `conjugate` and `right_derivative` are the scalar entry points, views
+    of those, and no subclass overrides them. Optional closed-form hooks:
+    `luxemburg_closed_form` (fallback None, so root-finding, except at a
+    domain bound), `conjugate_minimisers` (fallback None, so the dual norm
+    searches for its k), `homogeneity_degree` and `asymptotic_slope`.
     """
 
     #: d with phi(t x) = t**d phi(x) for all t > 0 (inf for a 0/inf
@@ -120,8 +119,10 @@ class OrliczFunction:
     # -- conjugation ------------------------------------------------------
 
     def conjugate(self, y: float) -> float:
-        """phi*(y) = sup_{x >= 0} (x*y - phi(x)) at one point."""
-        return float(self.conjugate_array(y)[0])
+        """phi*(y) = sup_{x >= 0} (x*y - phi(x)) at one point y >= 0."""
+        if y < 0:
+            raise ValidationError("conjugate argument must be nonnegative")
+        return float(self.conjugate_array(np.array([y], dtype=float))[0])
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         """phi* elementwise, every argument at once.
@@ -209,14 +210,24 @@ class OrliczFunction:
     # -- derivatives ------------------------------------------------------
 
     def right_derivative(self, x: float) -> float:
-        """Right derivative at x >= 0; inf at a jump to infinity."""
-        if x >= self.domain_bound:
-            return INF
-        h = 1e-7 * max(1.0, x)
-        hi = self(x + h)
-        if hi == INF:
-            return INF
-        return (hi - self(x)) / h
+        """Right derivative at one point x >= 0; inf at a jump to infinity."""
+        if x < 0:
+            raise ValidationError("derivative argument must be nonnegative")
+        return float(self.derivative_array(np.array([x], dtype=float))[0])
+
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        """Right derivative elementwise; inf at or past the domain bound.
+
+        Numeric route: the forward difference with step 1e-7 max(1, x),
+        inf where phi jumps to inf within the step (as it does from the
+        domain bound on).
+        """
+        xs = np.array(x, dtype=float, ndmin=1)
+        h = 1e-7 * np.maximum(1.0, xs)
+        hi = self._eval_array(xs + h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = (hi - self._eval_array(xs)) / h
+        return np.where(hi == INF, INF, slope)
 
     # -- affine minorant --------------------------------------------------
 
@@ -297,17 +308,6 @@ class Power(OrliczFunction):
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray) -> float:
         return float(np.dot(weights, abs_x ** self.p) ** (1.0 / self.p))
 
-    def conjugate(self, y: float) -> float:
-        if y < 0:
-            raise ValidationError("conjugate argument must be nonnegative")
-        if self.p == 1.0:
-            return 0.0 if y <= 1.0 else INF
-        q = self.p / (self.p - 1.0)
-        try:
-            return (self.p - 1.0) * self.p ** (-q) * y ** q
-        except OverflowError:
-            return INF
-
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         if self.p == 1.0:
@@ -327,10 +327,10 @@ class Power(OrliczFunction):
         s = float(np.dot(weights, z ** q))
         return np.array([self.p * math.exp((math.log(level) - math.log(s)) / q)])
 
-    def right_derivative(self, x: float) -> float:
-        if self.p == 1.0:
-            return 1.0
-        return self.p * x ** (self.p - 1.0)
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        # float_power rounds as Python's float ** does; numpy's ** may not
+        with np.errstate(over="ignore"):
+            return self.p * np.float_power(x, self.p - 1.0)
 
     def affine_minorant(self) -> AffineMinorant:
         # the tangent at x = 1, where x**p first reaches 1
@@ -355,16 +355,6 @@ class Exponential(OrliczFunction):
         with np.errstate(over="ignore"):
             return np.expm1(self.beta * x)
 
-    def conjugate(self, y: float) -> float:
-        if y < 0:
-            raise ValidationError("conjugate argument must be nonnegative")
-        if y <= self.beta:
-            return 0.0
-        r = float(y) / self.beta
-        if r == INF:
-            return INF  # r log r - r is inf - inf there
-        return r * math.log(r) - r + 1.0
-
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -383,8 +373,9 @@ class Exponential(OrliczFunction):
         z_m = np.cumsum((weights * z)[order])
         return np.array([self.beta * float(np.min((level + w_m) / z_m))])
 
-    def right_derivative(self, x: float) -> float:
-        return self.beta * math.exp(self.beta * x)
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return self.beta * np.exp(self.beta * np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -403,11 +394,6 @@ class EssSupIndicator(OrliczFunction):
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray) -> float:
         return float(np.max(abs_x))
 
-    def conjugate(self, y: float) -> float:
-        if y < 0:
-            raise ValidationError("conjugate argument must be nonnegative")
-        return float(y)
-
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         return np.atleast_1d(np.asarray(y, dtype=float)).copy()
 
@@ -416,8 +402,8 @@ class EssSupIndicator(OrliczFunction):
         # phi*(y) = y: the objective level / k + sum w z falls as k grows
         return _toward_infinity(level, float(np.dot(weights, z)))
 
-    def right_derivative(self, x: float) -> float:
-        return 0.0 if x < 1.0 else INF
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        return np.where(np.asarray(x) < 1.0, 0.0, INF)
 
 
 @dataclass(frozen=True)
@@ -487,11 +473,10 @@ class PiecewiseLinear(OrliczFunction):
             out = np.where(x > self.bound, INF, out)
         return out
 
-    def right_derivative(self, x: float) -> float:
-        if self.bound is not None and x >= self.bound:
-            return INF
-        idx = int(np.searchsorted(self._knots, x, side="right")) - 1
-        return 0.0 if idx < 0 else self.slopes[idx]
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        # index 0 is below the first breakpoint, where phi is flat
+        out = np.append(0.0, self.slopes)[np.searchsorted(self._knots, x, side="right")]
+        return out if self.bound is None else np.where(np.asarray(x) >= self.bound, INF, out)
 
     def conjugate_minimisers(self, weights: np.ndarray, z: np.ndarray,
                              level: float = 1.0) -> np.ndarray:
@@ -534,7 +519,7 @@ class Scaled(OrliczFunction):
     """phi(x) = inner(theta * x) / one_plus_gamma.
 
     Houses the multiplicative weight and additive-penalty divisor of the
-    penalised families; theta > 0 and one_plus_gamma >= 1.
+    penalised families; 0 < theta < inf and 1 <= one_plus_gamma < inf.
     """
 
     inner: OrliczFunction
@@ -544,8 +529,8 @@ class Scaled(OrliczFunction):
     def __post_init__(self):
         if self.theta <= 0.0 or not math.isfinite(self.theta):
             raise ValidationError("theta must be finite and positive")
-        if not self.one_plus_gamma >= 1.0:
-            raise ValidationError("additive divisor must satisfy 1 + gamma >= 1")
+        if not 1.0 <= self.one_plus_gamma < INF:
+            raise ValidationError("additive divisor must be finite with 1 + gamma >= 1")
 
     @property
     def domain_bound(self) -> float:
@@ -567,14 +552,8 @@ class Scaled(OrliczFunction):
             return super().luxemburg_closed_form(weights, abs_x)
         return self.theta * base / self.one_plus_gamma ** (1.0 / degree)
 
-    def conjugate(self, y: float) -> float:
-        # sup x*y - inner(theta x)/d  =  inner*(d*y/theta) / d
-        if y < 0:
-            raise ValidationError("conjugate argument must be nonnegative")
-        d = self.one_plus_gamma
-        return self.inner.conjugate(d * y / self.theta) / d
-
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
+        # sup x*y - inner(theta x)/d  =  inner*(d*y/theta) / d
         d = self.one_plus_gamma
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         return self.inner.conjugate_array(d * ys / self.theta) / d
@@ -587,9 +566,11 @@ class Scaled(OrliczFunction):
         k = self.inner.conjugate_minimisers(weights, z, d * level)
         return None if k is None else k * (self.theta / d)
 
-    def right_derivative(self, x: float) -> float:
-        d = self.inner.right_derivative(self.theta * x)
-        return INF if d == INF else self.theta * d / self.one_plus_gamma
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        # one_plus_gamma is finite, so inf stays inf
+        inner = self.inner.derivative_array(self.theta * np.asarray(x, dtype=float))
+        with np.errstate(over="ignore"):
+            return self.theta * inner / self.one_plus_gamma
 
 
 def validate_orlicz(phi: OrliczFunction) -> None:

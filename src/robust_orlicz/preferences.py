@@ -10,7 +10,7 @@ normalisation u(-1) = -1 pins phi_P(1) <= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -82,7 +82,10 @@ class PiecewiseLinearUtility(Utility):
     range or not), slopes nonincreasing, anchored by u(0) = 0."""
 
     knots: tuple
-    slopes: tuple  # slopes[i] on [knots[i], knots[i+1]); slopes[0] extends left
+    slopes: tuple  # slopes[i] on [knots[i-1], knots[i]); slopes[0] extends left
+    _grid: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _grid_slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, knots: Sequence[float], slopes: Sequence[float]):
         kn = tuple(float(k) for k in knots)
@@ -97,6 +100,17 @@ class PiecewiseLinearUtility(Utility):
             raise ValidationError("utility must be nondecreasing")
         object.__setattr__(self, "knots", kn)
         object.__setattr__(self, "slopes", sl)
+        # the knots and 0, the slope to the right of each, and the values
+        # summed outward from u(0) = 0 (0.0 - s keeps a zero sum at +0.0)
+        grid = np.unique(np.append(kn, 0.0) if 0.0 not in kn else np.asarray(kn))
+        grid_slopes = np.asarray(sl)[np.searchsorted(kn, grid, side="right")]
+        rise = grid_slopes[:-1] * np.diff(grid)
+        z = int(np.searchsorted(grid, 0.0))
+        values = np.concatenate([0.0 - np.cumsum(rise[:z][::-1])[::-1], [0.0],
+                                 np.cumsum(rise[z:])])
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_grid_slopes", grid_slopes)
 
     @property
     def asymptotic_slope(self) -> float:
@@ -104,27 +118,11 @@ class PiecewiseLinearUtility(Utility):
         return self.slopes[0]
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        kn = np.asarray(self.knots)
-        sl = np.asarray(self.slopes)
-        grid = np.concatenate([kn, [0.0]]) if 0.0 not in self.knots else kn
-        grid = np.unique(grid)
-        # value at each grid point, anchored so that u(0) = 0
-        def seg_slope(t):
-            i = int(np.searchsorted(kn, t, side="right"))
-            return sl[i]
-        vals = np.zeros(grid.size)
-        z = int(np.searchsorted(grid, 0.0))
-        for i in range(z + 1, grid.size):
-            vals[i] = vals[i - 1] + seg_slope(grid[i - 1]) * (grid[i] - grid[i - 1])
-        for i in range(z - 1, -1, -1):
-            vals[i] = vals[i + 1] - seg_slope(grid[i]) * (grid[i + 1] - grid[i])
-        idx = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1)
-        below = x < grid[0]
-        slopes_at = np.array([seg_slope(g) for g in grid])
-        out = vals[idx] + slopes_at[idx] * (x - grid[idx])
+        grid = self._grid
+        idx = np.maximum(np.searchsorted(grid, x, side="right") - 1, 0)
+        out = self._values[idx] + self._grid_slopes[idx] * (x - grid[idx])
         # left of the first grid point the leftmost slope extends
-        out = np.where(below, vals[0] + sl[0] * (x - grid[0]), out)
-        return out
+        return np.where(x < grid[0], self._values[0] + self.slopes[0] * (x - grid[0]), out)
 
 
 @dataclass(frozen=True)
