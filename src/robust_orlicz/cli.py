@@ -43,7 +43,7 @@ def _parse_vector(text: str) -> np.ndarray:
         t for t in text.split(",") if t.strip()]
     try:
         return np.asarray([decode_float(v) for v in items], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValidationError):
         raise ValidationError(f"cannot parse vector {text!r}") from None
 
 
@@ -146,7 +146,7 @@ def cmd_norm(args) -> int:
     x = _parse_vector(args.x)
     res = norms.luxemburg_norm(model, x, family, tol=args.tol,
                                max_iter=args.max_iter)
-    _emit(args, res.to_dict(), text=_fmt(res.value))
+    _emit(args, res, text=_fmt(res.value))
     return EXIT_OK
 
 
@@ -188,7 +188,7 @@ def cmd_dual_witness(args) -> int:
     family = _family(args, model)
     x = _parse_vector(args.x)
     w = duality.dual_witness(model, x, family, tol=args.tol)
-    _emit(args, w.to_dict(), text=_fmt(w.pairing))
+    _emit(args, w, text=_fmt(w.pairing))
     return EXIT_OK
 
 
@@ -197,7 +197,7 @@ def cmd_verify_l1(args) -> int:
     family = _family(args, model)
     rep = duality.verify_l1_reduction(model, family, sample_size=args.samples,
                                       tol=args.tol, seed=args.seed)
-    _emit(args, rep.to_dict(), text=_fmt(rep.max_rel_gap))
+    _emit(args, rep, text=_fmt(rep.max_rel_gap))
     return EXIT_OK
 
 
@@ -205,8 +205,7 @@ def cmd_dominate(args) -> int:
     model = _model(args)
     family = _family(args, model)
     rep = domination.dominating_measure(model, family, seed=args.seed)
-    _emit(args, rep.to_dict(),
-          text=",".join(_fmt(v) for v in rep.pstar.masses))
+    _emit(args, rep, text=",".join(_fmt(v) for v in rep.pstar.masses))
     return EXIT_OK
 
 
@@ -217,46 +216,39 @@ def cmd_ui_profile(args) -> int:
     grid = _parse_vector(args.c_grid or "0,1,2,4,8")
     prof = domination.uniform_integrability_report(model, rep.pstar, grid)
     rows = [["c", "value"]] + [[c, v] for c, v in prof.profile]
-    _emit(args, prof.to_dict(), csv_rows=rows)
+    _emit(args, prof, csv_rows=rows)
     return EXIT_OK
 
 
-def _ladder_from_args(args, model=None, family=None, x=None):
+def _ladder(args, finest: bool = False) -> list:
+    """The Gaussian power ladder of --gaussian-ladder N, its rungs N/2,
+    3N/4 and N coarsest first (only N with `finest`), or else the one
+    finite truncation given by --model, --family and --x."""
     if args.gaussian_ladder is not None:
         n = args.gaussian_ladder
-        rungs = sorted({max(1, n // 2), max(1, 3 * n // 4), n})
+        rungs = [n] if finest else sorted({max(1, n // 2), max(1, 3 * n // 4), n})
         return [diagnostics.gaussian_power_ladder(k, T=args.T, h=args.h)
                 for k in rungs]
-    if model is None:
-        raise ValidationError("need --model/--family/--x or --gaussian-ladder")
-    return [diagnostics.Truncation(model=model, x=x, family=family,
-                                   label="finite")]
+    model = _model(args)
+    family = _family(args, model)
+    return [diagnostics.Truncation(model=model, x=_parse_vector(args.x),
+                                   family=family, label="finite")]
 
 
 def cmd_membership(args) -> int:
-    if args.gaussian_ladder is not None:
-        ladder = _ladder_from_args(args)
-    else:
-        model = _model(args)
-        family = _family(args, model)
-        ladder = _ladder_from_args(args, model, family, _parse_vector(args.x))
+    ladder = _ladder(args)
     verdict = diagnostics.membership_classify(ladder, tol=args.tol)
     _emit(args, {"verdict": verdict}, text=verdict)
     return EXIT_OK
 
 
 def cmd_tails(args) -> int:
-    if args.gaussian_ladder is not None:
-        ladder = _ladder_from_args(args)
-    else:
-        model = _model(args)
-        family = _family(args, model)
-        ladder = _ladder_from_args(args, model, family, _parse_vector(args.x))
+    ladder = _ladder(args)
     levels = _parse_vector(args.levels or "1,2,3,4,5,6,7,8")
     prof = diagnostics.tail_membership(ladder, levels, tol=args.tol)
     rows = [["level", "tail_norm", "stable"]] + [
         [l, v, s] for l, v, s in zip(prof.levels, prof.tail_norms, prof.stable)]
-    _emit(args, prof.to_dict(), csv_rows=rows, text=prof.verdict)
+    _emit(args, prof, csv_rows=rows, text=prof.verdict)
     return EXIT_OK
 
 
@@ -266,20 +258,14 @@ def cmd_moments(args) -> int:
     rows = [["n", "root_moment", "oracle", "soft_flag", "hard_flag"]] + [
         [n + 1, r, o, s, hd] for n, (r, o, s, hd) in enumerate(
             zip(rep.roots, rep.oracle_roots, rep.deviation_flags, rep.hard_flags))]
-    _emit(args, rep.to_dict(), csv_rows=rows)
+    _emit(args, rep, csv_rows=rows)
     return EXIT_OK
 
 
 def cmd_mixture_witness(args) -> int:
-    if args.gaussian_ladder is not None:
-        t = diagnostics.gaussian_power_ladder(args.gaussian_ladder, T=args.T, h=args.h)
-        model, family, x = t.model, t.family, t.x
-    else:
-        model = _model(args)
-        family = _family(args, model)
-        x = _parse_vector(args.x)
-    rep = diagnostics.mixture_witness(model, x, family, tol=args.tol)
-    _emit(args, rep.to_dict(), text=_fmt(rep.modular_lower_bound))
+    [t] = _ladder(args, finest=True)
+    rep = diagnostics.mixture_witness(t.model, t.x, t.family, tol=args.tol)
+    _emit(args, rep, text=_fmt(rep.modular_lower_bound))
     return EXIT_OK
 
 
@@ -289,7 +275,7 @@ def cmd_span(args) -> int:
     x = _parse_vector(args.x)
     rep = spanning.spanning_report(model, x, family, tol=args.tol,
                                    seed=args.seed)
-    _emit(args, rep.to_dict(), text=str(rep.dimension))
+    _emit(args, rep, text=str(rep.dimension))
     return EXIT_OK
 
 
@@ -301,7 +287,7 @@ def cmd_project(args) -> int:
     basis = spanning.option_basis(model, x)
     res = spanning.project_onto_span(model, y, basis, family, tol=args.tol,
                                      seed=args.seed)
-    _emit(args, res.to_dict(), text=_fmt(res.residual_norm))
+    _emit(args, res, text=_fmt(res.residual_norm))
     return EXIT_OK
 
 
@@ -319,7 +305,7 @@ def cmd_aggregate(args) -> int:
                               "values_on_grid": {str(g): family.phi(l)(g)
                                                  for g in grid}}
                           for l in model.prior_labels},
-               "extension_bound": rep.to_dict()}
+               "extension_bound": rep}
     _emit(args, payload, text=_fmt(rep.max_slack))
     return EXIT_OK
 

@@ -117,11 +117,6 @@ class MomentGrowthReport:
     deviation_flags: List[bool]
     hard_flags: List[bool]
 
-    def to_dict(self) -> dict:
-        return {"roots": self.roots, "oracle_roots": self.oracle_roots,
-                "deviation_flags": self.deviation_flags,
-                "hard_flags": self.hard_flags}
-
 
 def moment_growth(values: np.ndarray, probs: np.ndarray,
                   n_max: int) -> MomentGrowthReport:
@@ -160,11 +155,6 @@ class TailProfile:
     verdict: str
     slope: Optional[float]
     finest_label: str
-
-    def to_dict(self) -> dict:
-        return {"levels": self.levels, "tail_norms": self.tail_norms,
-                "stable": self.stable, "verdict": self.verdict,
-                "slope": self.slope, "finest_label": self.finest_label}
 
 
 def _tail_slope(levels, norms) -> Optional[float]:
@@ -294,17 +284,6 @@ class MixtureWitnessReport:
     mixture: Optional[MeasureVector]
     modular_lower_bound: float
     contributions: List[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "constructible": self.constructible,
-            "rule": self.rule,
-            "selected": list(self.selected),
-            "per_prior_norms": dict(self.per_prior_norms),
-            "mixture": None if self.mixture is None else list(self.mixture.masses),
-            "modular_lower_bound": self.modular_lower_bound,
-            "contributions": list(self.contributions),
-        }
 
 
 def mixture_witness(model: ScenarioModel, x, family: OrliczFamily,

@@ -30,17 +30,6 @@ class DominationReport:
     order_pairs_checked: int
     notes: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "pstar": list(self.pstar.masses),
-            "weights": dict(self.weights),
-            "operator_norm_bounds": dict(self.operator_norm_bounds),
-            "strict_positivity": self.strict_positivity,
-            "order_collapse": self.order_collapse,
-            "order_pairs_checked": self.order_pairs_checked,
-            "notes": list(self.notes),
-        }
-
 
 def dominating_measure(model: ScenarioModel, family: OrliczFamily,
                        n_order_pairs: int = 1000, seed: int = 0) -> DominationReport:
@@ -86,13 +75,6 @@ class UIProfile:
     densities: Dict[str, List[float]]
     max_density: float
     profile: List[Tuple[float, float]]
-
-    def to_dict(self) -> dict:
-        return {
-            "densities": {l: list(v) for l, v in self.densities.items()},
-            "max_density": self.max_density,
-            "profile": [[c, v] for c, v in self.profile],
-        }
 
 
 def uniform_integrability_report(model: ScenarioModel, pstar,

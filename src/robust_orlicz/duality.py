@@ -178,15 +178,6 @@ class DualWitness:
     gap: float
     prior_label: str
 
-    def to_dict(self) -> dict:
-        return {
-            "measure": list(self.measure.masses),
-            "pairing": self.pairing,
-            "dual_norm": self.dual_norm,
-            "gap": self.gap,
-            "prior_label": self.prior_label,
-        }
-
 
 def derivative_density(prior: np.ndarray, phi: OrliczFunction,
                        z: np.ndarray) -> np.ndarray:
@@ -266,19 +257,6 @@ class L1ReductionReport:
     mass_bound_ok: bool
     n_samples: int
     witnesses: List[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "kappa": self.kappa,
-            "alpha": self.alpha,
-            "max_rel_gap": self.max_rel_gap,
-            "kappa_bound_ok": self.kappa_bound_ok,
-            "mass_bound_ok": self.mass_bound_ok,
-            "n_samples": self.n_samples,
-            "witnesses": list(self.witnesses),
-        }
 
 
 def _phi_max_alpha(family: OrliczFamily) -> Optional[float]:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 from .model import ScenarioModel, canonicalise, expectation
-from .orlicz import OrliczFunction, Power, Scaled
+from .orlicz import EssSupIndicator, OrliczFunction, Power, Scaled
 
 INF = math.inf
 
@@ -153,15 +153,6 @@ class NormResult:
     modular_at_value: float
     iterations: int
     per_prior_norms: Dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "bracket": list(self.bracket),
-            "modular_at_value": self.modular_at_value,
-            "iterations": self.iterations,
-            "per_prior_norms": dict(self.per_prior_norms),
-        }
 
 
 def _check_tol(tol: float) -> None:
@@ -600,24 +591,14 @@ def penalised_norm(model: ScenarioModel, x, phi: OrliczFunction,
 
 def weighted_lp_norm(model: ScenarioModel, x, p: float,
                      theta: Mapping[str, float]) -> float:
-    """sup_P theta(P) * ||X||_{L^p(P)} in closed form; p may be inf."""
-    if p < 1.0:
+    """sup_P theta(P) * ||X||_{L^p(P)}; p may be inf. The norm of
+    Scaled(x**p, theta(P)) under P, in closed form, by the robust-norm
+    kernel."""
+    if not p >= 1.0:
         raise ValidationError("p must be at least 1")
-    _check_labels(model, theta, "theta")
-    if any(float(t) <= 0 or not math.isfinite(float(t)) for t in theta.values()):
-        raise ValidationError("theta must be finite and positive")
-    abs_x = np.abs(canonicalise(model, x).values)
-    best = 0.0
-    for label, prior in zip(model.prior_labels, model.priors):
-        pos = prior > 0.0
-        if not np.any(pos):
-            continue
-        if math.isinf(p):
-            n = float(np.max(abs_x[pos]))
-        else:
-            n = float(np.dot(prior[pos], abs_x[pos] ** p) ** (1.0 / p))
-        best = max(best, float(theta[label]) * n)
-    return best
+    phi = EssSupIndicator() if p == INF else Power(p)
+    family = OrliczFamily.multiplicatively_weighted(model, phi, theta)
+    return sup_prior_norms(model, np.abs(canonicalise(model, x).values), family)[0]
 
 
 def risk_measure(model: ScenarioModel, x, gamma: Mapping[str, float]) -> float:

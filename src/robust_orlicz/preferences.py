@@ -43,8 +43,8 @@ class LinearUtility(Utility):
     slope: float = 1.0
 
     def __post_init__(self):
-        if self.slope <= 0:
-            raise ValidationError("utility slope must be positive")
+        if not 0.0 < self.slope < INF:
+            raise ValidationError("utility slope must be finite and positive")
 
     @property
     def asymptotic_slope(self) -> float:
@@ -64,12 +64,15 @@ class CARAUtility(Utility):
     asymptotic_slope = INF
 
     def __post_init__(self):
-        if self.beta <= 0 or self.scale <= 0:
-            raise ValidationError("CARA parameters must be positive")
+        if not (0.0 < self.beta < INF and 0.0 < self.scale < INF):
+            raise ValidationError("CARA parameters must be finite and positive")
 
     @staticmethod
     def normalised(beta: float) -> "CARAUtility":
-        return CARAUtility(beta=beta, scale=1.0 / math.expm1(beta))
+        try:
+            return CARAUtility(beta=beta, scale=1.0 / math.expm1(beta))
+        except (ZeroDivisionError, OverflowError):
+            raise ValidationError("CARA rate must be positive with exp(beta) finite") from None
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -92,6 +95,8 @@ class PiecewiseLinearUtility(Utility):
         sl = tuple(float(s) for s in slopes)
         if len(sl) != len(kn) + 1:
             raise ValidationError("need one more slope than knots")
+        if not all(map(math.isfinite, kn + sl)):
+            raise ValidationError("knots and slopes must be finite")
         if any(x >= y for x, y in zip(kn, kn[1:])):
             raise ValidationError("knots must be strictly ascending")
         if any(x < y for x, y in zip(sl, sl[1:])) :
@@ -141,13 +146,13 @@ class Agent:
         missing = [l for l in prior_labels if l not in penalty]
         if missing:
             raise ValidationError(f"agent penalty misses priors {missing}")
-        if any(v < 0 for v in penalty.values()):
-            raise ValidationError("penalties must be nonnegative")
+        if not all(0.0 <= v < INF for v in penalty.values()):
+            raise ValidationError("penalties must be finite and nonnegative")
         if min(penalty[l] for l in prior_labels) > NORMALISATION_TOL:
             raise ValidationError("penalty must vanish at some prior (min c = 0)")
-        if abs(utility(0.0)) > NORMALISATION_TOL:
+        if not abs(utility(0.0)) <= NORMALISATION_TOL:
             raise ValidationError("utility must satisfy u(0) = 0")
-        if abs(utility(-1.0) + 1.0) > NORMALISATION_TOL:
+        if not abs(utility(-1.0) + 1.0) <= NORMALISATION_TOL:
             raise ValidationError(
                 "utility normalisation u(-1) = -1 violated; renormalise the "
                 "utility rather than relying on silent rescaling")
@@ -179,8 +184,8 @@ class AggregateOrlicz(OrliczFunction):
         terms = tuple((u, float(d)) for u, d in terms)
         if not terms:
             raise ValidationError("aggregate needs at least one term")
-        if any(d < 1.0 for _, d in terms):
-            raise ValidationError("divisors 1 + c must be >= 1")
+        if not all(1.0 <= d < INF for _, d in terms):
+            raise ValidationError("divisors 1 + c must be finite and >= 1")
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -225,10 +230,6 @@ class ExtensionBoundReport:
     n_checks: int
     max_slack: float
     violations: int
-
-    def to_dict(self) -> dict:
-        return {"n_checks": self.n_checks, "max_slack": self.max_slack,
-                "violations": self.violations}
 
 
 def verify_extension_bound(model: ScenarioModel, agents: Sequence[Agent],

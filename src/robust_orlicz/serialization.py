@@ -11,22 +11,32 @@ Schemas:
                         "penalty": {label: c}, "name"?: str}]}
 
 Infinity is serialised as the string "inf"; emitted reports carry floats
-rounded to 12 significant digits so equal runs produce identical bytes.
+rounded to SIG_DIGITS significant digits so equal runs produce identical
+bytes. A report is the result dataclass itself: `jsonify` writes any
+dataclass as {field name: value}, a `MeasureVector` as its masses and an
+array as a list, so the fields of a result are its JSON schema.
+
+Decoders raise ValidationError for a value of the wrong JSON type.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any, Dict
 
+import numpy as np
+
 from .errors import ValidationError
-from .model import ScenarioModel
+from .model import MeasureVector, ScenarioModel
 from .norms import OrliczFamily
 from .orlicz import (EssSupIndicator, Exponential, OrliczFunction,
                      PiecewiseLinear, Power, Scaled)
 from .preferences import (Agent, CARAUtility, LinearUtility,
                           PiecewiseLinearUtility, Utility)
+
+SIG_DIGITS = 12
 
 
 def encode_float(v: float):
@@ -42,16 +52,47 @@ def decode_float(v) -> float:
         return math.inf
     if v == "-inf":
         return -math.inf
-    return float(v)
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"expected a number, got {v!r}") from None
 
 
-def jsonify(obj, sig_digits: int = 12):
-    """Recursively round floats to significant digits and map infinities
-    to strings, producing a deterministic JSON-ready structure."""
+def _list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValidationError(f"{what} must be a list")
+    return v
+
+
+def _object(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise ValidationError(f"{what} must be an object")
+    return v
+
+
+def _floats(v, what: str) -> list:
+    return [decode_float(x) for x in _list(v, what)]
+
+
+def _float_map(v, what: str) -> dict:
+    return {k: decode_float(x) for k, x in _object(v, what).items()}
+
+
+def jsonify(obj):
+    """Recursively round floats to SIG_DIGITS significant digits and map
+    infinities to strings, measures to their masses, arrays to lists and
+    dataclasses to {field name: value}, producing a deterministic
+    JSON-ready structure."""
+    if isinstance(obj, MeasureVector):
+        obj = obj.masses
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {str(k): jsonify(v, sig_digits) for k, v in obj.items()}
+        return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonify(v, sig_digits) for v in obj]
+        return [jsonify(v) for v in obj]
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
@@ -59,7 +100,7 @@ def jsonify(obj, sig_digits: int = 12):
             return encode_float(obj)
         if obj == 0.0 or math.isnan(obj):
             return 0.0 if obj == 0.0 else "nan"
-        return float(f"{obj:.{sig_digits - 1}e}")
+        return float(f"{obj:.{SIG_DIGITS - 1}e}")
     return obj
 
 
@@ -100,8 +141,8 @@ def orlicz_from_json(data: Dict[str, Any]) -> OrliczFunction:
         if kind == "piecewise_linear":
             bound = data.get("bound")
             return PiecewiseLinear(
-                [decode_float(b) for b in data["breakpoints"]],
-                [decode_float(s) for s in data["slopes"]],
+                _floats(data["breakpoints"], "breakpoints"),
+                _floats(data["slopes"], "slopes"),
                 None if bound is None else decode_float(bound))
         if kind == "scaled":
             return Scaled(orlicz_from_json(data["inner"]),
@@ -125,12 +166,12 @@ def model_from_json(data: Dict[str, Any]) -> ScenarioModel:
     if not isinstance(data, dict) or "atoms" not in data or "priors" not in data:
         raise ValidationError("model spec needs 'atoms' and 'priors'")
     priors, labels = [], []
-    for i, p in enumerate(data["priors"]):
-        if "masses" not in p:
+    for i, p in enumerate(_list(data["priors"], "priors")):
+        if "masses" not in _object(p, f"prior #{i}"):
             raise ValidationError(f"prior #{i} misses 'masses'")
-        priors.append([decode_float(m) for m in p["masses"]])
+        priors.append(_floats(p["masses"], f"masses of prior #{i}"))
         labels.append(p.get("label", f"P{i + 1}"))
-    return ScenarioModel(data["atoms"], priors, labels)
+    return ScenarioModel(_list(data["atoms"], "atoms"), priors, labels)
 
 
 # -- families -------------------------------------------------------------
@@ -147,12 +188,12 @@ def family_from_json(data: Dict[str, Any], model: ScenarioModel) -> OrliczFamily
     if "uniform" in data:
         return OrliczFamily.uniform(model, orlicz_from_json(data["uniform"]))
     if "per_prior" in data:
-        return OrliczFamily({l: orlicz_from_json(spec)
-                             for l, spec in data["per_prior"].items()})
+        return OrliczFamily({l: orlicz_from_json(spec) for l, spec
+                             in _object(data["per_prior"], "per_prior").items()})
     if "joint" in data:
         phi = orlicz_from_json(data["joint"])
-        theta = {l: decode_float(v) for l, v in data.get("theta", {}).items()}
-        gamma = {l: decode_float(v) for l, v in data.get("gamma", {}).items()}
+        theta = _float_map(data.get("theta", {}), "theta")
+        gamma = _float_map(data.get("gamma", {}), "gamma")
         if theta and gamma:
             return OrliczFamily.doubly_penalised(model, phi, theta, gamma)
         if theta:
@@ -178,9 +219,8 @@ def utility_from_json(data: Dict[str, Any]) -> Utility:
             return CARAUtility(beta=beta, scale=decode_float(data["scale"]))
         return CARAUtility.normalised(beta)
     if kind == "piecewise_linear":
-        return PiecewiseLinearUtility(
-            [decode_float(k) for k in data["knots"]],
-            [decode_float(s) for s in data["slopes"]])
+        return PiecewiseLinearUtility(_floats(data["knots"], "knots"),
+                                      _floats(data["slopes"], "slopes"))
     raise ValidationError(f"unknown utility kind {kind!r}")
 
 
@@ -188,18 +228,20 @@ def agents_from_json(data: Dict[str, Any]) -> list:
     if not isinstance(data, dict) or "agents" not in data:
         raise ValidationError("agents spec needs an 'agents' list")
     out = []
-    for i, a in enumerate(data["agents"]):
+    for i, a in enumerate(_list(data["agents"], "agents")):
+        _object(a, f"agent #{i}")
         try:
             out.append(Agent(
                 utility=utility_from_json(a["utility"]),
-                prior_labels=a["priors"],
-                penalty={k: decode_float(v) for k, v in a["penalty"].items()},
+                prior_labels=_list(a["priors"], f"priors of agent #{i}"),
+                penalty=_float_map(a["penalty"], f"penalty of agent #{i}"),
                 name=a.get("name", f"agent{i + 1}")))
         except KeyError as e:
             raise ValidationError(f"agent #{i} misses field {e}") from None
     return out
 
 
-def dumps_report(obj, sig_digits: int = 12) -> str:
-    """Deterministic JSON text for a report structure."""
-    return json.dumps(jsonify(obj, sig_digits), sort_keys=True, indent=2)
+def dumps_report(obj) -> str:
+    """Deterministic JSON text for a report: a result dataclass or any
+    structure `jsonify` accepts."""
+    return json.dumps(jsonify(obj), sort_keys=True, indent=2)

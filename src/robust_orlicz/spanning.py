@@ -43,11 +43,6 @@ class OptionBasis:
     vectors: np.ndarray  # shape (n_basis, n_atoms), canonical
     dimension: int
 
-    def to_dict(self) -> dict:
-        return {"claim": list(self.claim), "strikes": list(self.strikes),
-                "vectors": [list(v) for v in self.vectors],
-                "dimension": self.dimension}
-
 
 def option_basis(model: ScenarioModel, x) -> OptionBasis:
     """Basis {1, (X - k)+ : k a distinct value of X except the largest}."""
@@ -70,12 +65,6 @@ class ProjectionResult:
     residual_norm: float
     stationary: bool
     restart_values: List[float]
-
-    def to_dict(self) -> dict:
-        return {"coefficients": list(self.coefficients),
-                "residual_norm": self.residual_norm,
-                "stationary": self.stationary,
-                "restart_values": list(self.restart_values)}
 
 
 def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
@@ -196,13 +185,6 @@ class SpanningReport:
     full_sigma: bool
     max_residual: float
     pstar_on_support: Optional[List[float]]
-
-    def to_dict(self) -> dict:
-        return {"dimension": self.dimension,
-                "n_support_atoms": self.n_support_atoms,
-                "full_sigma": self.full_sigma,
-                "max_residual": self.max_residual,
-                "pstar_on_support": self.pstar_on_support}
 
 
 def spanning_report(model: ScenarioModel, x, family: OrliczFamily,
