@@ -38,8 +38,8 @@ def discretise_standard_normal(T: float = 10.0, h: float = 1e-3):
 
     Returns (values, probabilities) with the mass renormalised to 1.
     """
-    if T <= 0 or h <= 0 or h >= T:
-        raise ValidationError("need 0 < h < T")
+    if not 0.0 < h < T < math.inf:
+        raise ValidationError("need 0 < h < T < inf")
     n = int(round(2.0 * T / h))
     values = np.linspace(-T + 0.5 * h, T - 0.5 * h, n)
     w = np.exp(-0.5 * values ** 2)
@@ -126,6 +126,8 @@ def moment_growth(values: np.ndarray, probs: np.ndarray,
     and compares against the closed-form untruncated Gaussian values,
     flagging relative deviation > 1% (soft) and > 10% (hard).
     """
+    if n_max < 1:
+        raise ValidationError("n_max must be at least 1")
     abs_v = np.abs(np.asarray(values, dtype=float))
     probs = np.asarray(probs, dtype=float)
     roots, oracle, soft, hard = [], [], [], []

@@ -99,26 +99,27 @@ def _dual_norm_conjugate(m: np.ndarray, prior: np.ndarray,
     # where it does not depend on the scale of mu, and the value scales
     # back; Z is formed from mu / max mu, so that it overflows only where
     # a prior mass is subnormal, and inf is then the (trivial) upper bound.
+    # One overflow state covers Z and every evaluation of the objective.
     pos = prior > 0.0
     w = prior[pos]
     top = float(m.max())
     with np.errstate(over="ignore"):
         z = m[pos] / top / w
-    z_top = float(z.max())
-    if z_top == INF:
-        return INF
-    z /= z_top
-    k = phi.conjugate_minimisers(w, z)
-    best = _bracket_search(w, z, phi) if k is None else float(_objective(w, z, phi, k).min())
+        z_top = float(z.max())
+        if z_top == INF:
+            return INF
+        z /= z_top
+        k = phi.conjugate_minimisers(w, z)
+        best = _bracket_search(w, z, phi) if k is None else float(_objective(w, z, phi, k).min())
     return top * (z_top * best)
 
 
 def _objective(w: np.ndarray, z: np.ndarray, phi: OrliczFunction,
                k: np.ndarray) -> np.ndarray:
-    """(1 + sum w phi*(k z)) / k at every k, from one `conjugate_array` call."""
-    with np.errstate(over="ignore"):
-        conj = phi.conjugate_array(np.multiply.outer(k, z).reshape(-1))
-        return (1.0 + conj.reshape(k.size, z.size).dot(w)) / k
+    """(1 + sum w phi*(k z)) / k at every k, from one `conjugate_array`
+    call; phi*(k z) may overflow, under the caller's error state."""
+    conj = phi.conjugate_array(np.multiply.outer(k, z).reshape(-1))
+    return (1.0 + conj.reshape(k.size, z.size).dot(w)) / k
 
 
 def _bracket_search(w: np.ndarray, z: np.ndarray, phi: OrliczFunction) -> float:
@@ -278,6 +279,8 @@ def verify_l1_reduction(model: ScenarioModel, family: OrliczFamily,
     every sampled norm as sup_Q theta(Q) E_Q|X| with relative gap below
     1e-6, and kappa = ||1|| must dominate ||X|| / ess-sup|X|.
     """
+    if sample_size < 1:
+        raise ValidationError("sample_size must be at least 1")
     family.check_model(model)
     alpha = _phi_max_alpha(family)
     if alpha is None:

@@ -27,7 +27,9 @@ of the single-prior root-finders, which run in lockstep over the block
 from lam = 1 (`_brackets`); the Illinois steps after them stay per prior.
 Each value and each dot product is the same arithmetic as for the prior
 alone, so per-prior norms, step counts, brackets and modulars are
-bit-identical to it. A block holds at most one phi evaluation: the
+bit-identical to it. phi may overflow to inf: the root-finding of a
+block, the certificate and `modular` each enter np.errstate(over="ignore")
+once and evaluate phi raw inside it, while the closed forms enter none. A block holds at most one phi evaluation: the
 masses are the priors themselves when they keep every atom and are
 gathered one prior at a time otherwise.
 """
@@ -102,7 +104,7 @@ class OrliczFamily:
     @staticmethod
     def additively_penalised(model: ScenarioModel, phi: OrliczFunction,
                              gamma: Mapping[str, float]) -> "OrliczFamily":
-        _check_labels(model, gamma, "gamma")
+        _check_gamma(model, gamma)
         return OrliczFamily({l: Scaled(phi, 1.0, 1.0 + float(gamma[l]))
                              for l in model.prior_labels})
 
@@ -118,7 +120,7 @@ class OrliczFamily:
                          theta: Mapping[str, float],
                          gamma: Mapping[str, float]) -> "OrliczFamily":
         _check_labels(model, theta, "theta")
-        _check_labels(model, gamma, "gamma")
+        _check_gamma(model, gamma)
         return OrliczFamily({l: Scaled(phi, float(theta[l]), 1.0 + float(gamma[l]))
                              for l in model.prior_labels})
 
@@ -133,6 +135,12 @@ def _check_labels(model: ScenarioModel, mapping: Mapping[str, float], name: str)
     missing = [l for l in model.prior_labels if l not in mapping]
     if missing:
         raise ValidationError(f"{name} misses priors {missing}")
+
+
+def _check_gamma(model: ScenarioModel, gamma: Mapping[str, float]) -> None:
+    _check_labels(model, gamma, "gamma")
+    if not all(1.0 <= 1.0 + float(gamma[l]) < INF for l in model.prior_labels):
+        raise ValidationError("additive divisor must be finite with 1 + gamma >= 1")
 
 
 @dataclass
@@ -155,9 +163,11 @@ class NormResult:
     per_prior_norms: Dict[str, float]
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float, max_iter: int) -> None:
     if not (tol > 0 and math.isfinite(tol)):
         raise ValidationError("tol must be finite and positive")
+    if not max_iter >= 1:
+        raise ValidationError("max_iter must be at least 1")
 
 
 # -- modulars -------------------------------------------------------------
@@ -169,18 +179,29 @@ def _check_scale(lam: float) -> None:
 
 
 def _compact_modular(w: np.ndarray, a: np.ndarray, phi: OrliczFunction,
-                     lam: float) -> float:
+                     lam: float, raw: bool = False) -> float:
     """sum w * phi(a / lam) for positive masses w; phi >= 0, so the dot
     product is inf exactly when some phi(a / lam) is. (values.dot(w) is
-    the same BLAS dot as np.dot(w, values), without its dispatch.)"""
-    return float(phi._eval_array(a / lam).dot(w))
+    the same BLAS dot as np.dot(w, values), without its dispatch.)
+
+    phi may overflow to inf, so this enters np.errstate(over="ignore");
+    with `raw`, the caller has entered it, as the kernels do once around
+    all their evaluations."""
+    if raw:
+        return float(phi._eval_array(a / lam).dot(w))
+    with np.errstate(over="ignore"):
+        return float(phi._eval_array(a / lam).dot(w))
 
 
 def _modulars(masses: Iterable[np.ndarray], a: np.ndarray, phi: OrliczFunction,
-              lam: float) -> list:
+              lam: float, raw: bool = False) -> list:
     """`_compact_modular` for each w in `masses`, from one evaluation of
-    phi(a / lam)."""
-    values = phi._eval_array(a / lam)
+    phi(a / lam); `raw` as there."""
+    if raw:
+        values = phi._eval_array(a / lam)
+    else:
+        with np.errstate(over="ignore"):
+            values = phi._eval_array(a / lam)
     return list(map(float, map(values.dot, masses)))
 
 
@@ -286,8 +307,9 @@ def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily) -> float:
     _check_scale(lam)
     abs_x = np.abs(canonicalise(model, x).values)
     best = 0.0
-    for phi, a, masses, _ in _blocks(model, abs_x, family):
-        best = max(best, *_modulars(masses, a, phi, lam))
+    with np.errstate(over="ignore"):
+        for phi, a, masses, _ in _blocks(model, abs_x, family):
+            best = max(best, *_modulars(masses, a, phi, lam, True))
     return best
 
 
@@ -437,15 +459,17 @@ def _block_norms(masses: Sequence[np.ndarray], a: np.ndarray, phi: OrliczFunctio
     if pending:
         if y is None:
             y = a / top
-        # a block of one runs its ladder in `_norm_bisection`
-        starts = [None] if len(pending) == 1 else _brackets(
-            lambda lam, idx: _modulars((masses[pending[i]] for i in idx), y, phi, lam),
-            len(pending))
-        for j, start in zip(pending, starts):
-            w = masses[j]
-            lam, _, steps = _norm_bisection(lambda lam: _compact_modular(w, y, phi, lam),
-                                            tol / 2.0, max_iter, start)
-            out[j] = (top * lam, steps)
+        # one error state for every step of the root-finders
+        with np.errstate(over="ignore"):
+            # a block of one runs its ladder in `_norm_bisection`
+            starts = [None] if len(pending) == 1 else _brackets(
+                lambda lam, idx: _modulars((masses[pending[i]] for i in idx), y, phi, lam, True),
+                len(pending))
+            for j, start in zip(pending, starts):
+                w = masses[j]
+                lam, _, steps = _norm_bisection(
+                    lambda lam: _compact_modular(w, y, phi, lam, True), tol / 2.0, max_iter, start)
+                out[j] = (top * lam, steps)
     return out
 
 
@@ -461,7 +485,7 @@ def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
     it keeps lam far from the float range's ends). With `with_steps` it
     returns (value, steps).
     """
-    _check_tol(tol)
+    _check_tol(tol, max_iter)
     pos = prior > 0.0
     [(value, steps)] = _block_norms([prior[pos]], np.abs(np.asarray(x, dtype=float))[pos],
                                     phi, tol, max_iter)
@@ -473,7 +497,7 @@ def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamil
                     max_iter: int = MAX_ITER) -> Tuple[float, Dict[str, float], int]:
     """sup_P ||X||_P for a canonical |X|: returns the sup, the per-prior
     norms, and the root-finder steps of the prior attaining the sup."""
-    _check_tol(tol)
+    _check_tol(tol, max_iter)
     found: Dict[str, Tuple[float, int]] = {}
     for phi, a, masses, labels in _blocks(model, abs_x, family):
         for member, result in zip(labels, _block_norms(masses, a, phi, tol, max_iter)):
@@ -504,19 +528,20 @@ def _certify(model: ScenarioModel, abs_x: np.ndarray, value: float, delta: float
     def joint(hi: Optional[float], lo: Optional[float]) -> Tuple[float, float]:
         # M at hi over every prior; M at lo only until it exceeds 1
         at_hi = at_lo = -INF
-        for phi, a, masses, labels in _blocks(model, abs_x, family, first):
-            if hi is not None:
-                for member, m in zip(labels, _modulars(masses, a, phi, hi)):
-                    for label in member:
-                        at_hi = max(at_hi, m - offsets[label])
-            if lo is not None and not at_lo > 1.0:
-                values = phi._eval_array(a / lo)
-                for member, w in zip(labels, masses):
-                    m = float(values.dot(w))
-                    for label in member:
-                        at_lo = max(at_lo, m - offsets[label])
-                    if at_lo > 1.0:
-                        break
+        with np.errstate(over="ignore"):
+            for phi, a, masses, labels in _blocks(model, abs_x, family, first):
+                if hi is not None:
+                    for member, m in zip(labels, _modulars(masses, a, phi, hi, True)):
+                        for label in member:
+                            at_hi = max(at_hi, m - offsets[label])
+                if lo is not None and not at_lo > 1.0:
+                    values = phi._eval_array(a / lo)
+                    for member, w in zip(labels, masses):
+                        m = float(values.dot(w))
+                        for label in member:
+                            at_lo = max(at_lo, m - offsets[label])
+                        if at_lo > 1.0:
+                            break
         return at_hi, at_lo
 
     if value == 0.0:

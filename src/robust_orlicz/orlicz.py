@@ -5,6 +5,12 @@ map phi: [0, inf) -> [0, inf] with phi(0) = 0 that is finite at some
 positive point and nonzero at some positive point. Values are plain
 floats with math.inf as the explicit +infinity sentinel; every quantity
 is computed on arrays, and the scalar entry points are views of those.
+
+`_eval_array` is raw: it may overflow to inf (x**p, expm1), and its
+callers own numpy's error state. The base class's entry points that
+evaluate phi (`__call__`, the numeric conjugate and derivative, the
+domain-bound norm) each enter `np.errstate(over="ignore")` themselves;
+the norm kernels enter it once per call around all their evaluations.
 """
 
 from __future__ import annotations
@@ -92,7 +98,8 @@ class OrliczFunction:
         if math.isinf(bound):
             return None
         top = float(np.max(abs_x))
-        at_bound = self._eval_array(np.minimum(abs_x / top * bound, bound))
+        with np.errstate(over="ignore"):
+            at_bound = self._eval_array(np.minimum(abs_x / top * bound, bound))
         return top / bound if float(np.dot(weights, at_bound)) <= 1.0 else None
 
     def conjugate_minimisers(self, weights: np.ndarray, z: np.ndarray,
@@ -113,7 +120,8 @@ class OrliczFunction:
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0):
             raise ValidationError("Orlicz functions are defined on [0, inf) only")
-        out = self._eval_array(np.atleast_1d(arr))
+        with np.errstate(over="ignore"):
+            out = self._eval_array(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     # -- conjugation ------------------------------------------------------
@@ -150,8 +158,8 @@ class OrliczFunction:
 
     def _g(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x*y - phi(x), -inf where phi(x) is inf."""
-        v = self._eval_array(x)
         with np.errstate(over="ignore", invalid="ignore"):
+            v = self._eval_array(x)
             return np.where(v == INF, -INF, x * y - v)
 
     def _conjugate_search(self, y: np.ndarray) -> np.ndarray:
@@ -224,8 +232,8 @@ class OrliczFunction:
         """
         xs = np.array(x, dtype=float, ndmin=1)
         h = 1e-7 * np.maximum(1.0, xs)
-        hi = self._eval_array(xs + h)
         with np.errstate(over="ignore", invalid="ignore"):
+            hi = self._eval_array(xs + h)
             slope = (hi - self._eval_array(xs)) / h
         return np.where(hi == INF, INF, slope)
 
@@ -302,8 +310,7 @@ class Power(OrliczFunction):
         return self.p
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return x ** self.p
+        return x ** self.p
 
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray) -> float:
         return float(np.dot(weights, abs_x ** self.p) ** (1.0 / self.p))
@@ -352,8 +359,7 @@ class Exponential(OrliczFunction):
         return INF
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.expm1(self.beta * x)
+        return np.expm1(self.beta * x)
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
@@ -419,7 +425,9 @@ class PiecewiseLinear(OrliczFunction):
     slopes: tuple
     bound: Optional[float] = None
     _knots: np.ndarray = field(init=False, repr=False, compare=False)
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _grid: np.ndarray = field(init=False, repr=False, compare=False)
+    _grid_values: np.ndarray = field(init=False, repr=False, compare=False)
+    _grid_slopes: np.ndarray = field(init=False, repr=False, compare=False)
     _corners: np.ndarray = field(init=False, repr=False, compare=False)
     _corner_values: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -446,10 +454,16 @@ class PiecewiseLinear(OrliczFunction):
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "slopes", sl)
         object.__setattr__(self, "bound", bound)
-        knots = np.asarray(bp)
-        vals = np.concatenate([[0.0], np.cumsum(np.asarray(sl[:-1]) * np.diff(knots))])
+        knots, slopes = np.asarray(bp), np.asarray(sl)
+        vals = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(knots))])
         object.__setattr__(self, "_knots", knots)
-        object.__setattr__(self, "_values", vals)
+        # the evaluator's segments: a flat one from 0 in front of the first
+        # breakpoint, so that every x >= 0 lies on one
+        if bp[0] > 0.0:
+            knots, vals, slopes = (np.concatenate([[0.0], v]) for v in (knots, vals, slopes))
+        object.__setattr__(self, "_grid", knots)
+        object.__setattr__(self, "_grid_values", vals)
+        object.__setattr__(self, "_grid_slopes", slopes)
         corners, corner_vals = knots[knots > 0], vals[knots > 0]
         if bound is not None:
             corners = np.append(corners, bound)
@@ -463,12 +477,9 @@ class PiecewiseLinear(OrliczFunction):
         return INF if self.bound is None else self.bound
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._knots, x, side="right") - 1
-        below = idx < 0
-        # np.clip on integers looks up np.iinfo on every call
-        idx = np.minimum(np.maximum(idx, 0), len(self._knots) - 1)
-        out = self._values[idx] + np.asarray(self.slopes)[idx] * (x - self._knots[idx])
-        out = np.where(below, 0.0, out)
+        grid = self._grid
+        idx = np.searchsorted(grid, x, side="right") - 1
+        out = self._grid_values[idx] + self._grid_slopes[idx] * (x - grid[idx])
         if self.bound is not None:
             out = np.where(x > self.bound, INF, out)
         return out
@@ -519,7 +530,11 @@ class Scaled(OrliczFunction):
     """phi(x) = inner(theta * x) / one_plus_gamma.
 
     Houses the multiplicative weight and additive-penalty divisor of the
-    penalised families; 0 < theta < inf and 1 <= one_plus_gamma < inf.
+    penalised families, and the losses of the utilities; 0 < theta < inf
+    and 0 < one_plus_gamma < inf. A divisor below 1 is allowed (a
+    normalised CARA loss is expm1(beta x) / expm1(beta), whose divisor
+    expm1(beta) is below 1 for beta < ln 2); the JSON schema and the
+    penalised families still require 1 + gamma >= 1.
     """
 
     inner: OrliczFunction
@@ -529,8 +544,8 @@ class Scaled(OrliczFunction):
     def __post_init__(self):
         if self.theta <= 0.0 or not math.isfinite(self.theta):
             raise ValidationError("theta must be finite and positive")
-        if not 1.0 <= self.one_plus_gamma < INF:
-            raise ValidationError("additive divisor must be finite with 1 + gamma >= 1")
+        if not 0.0 < self.one_plus_gamma < INF:
+            raise ValidationError("divisor must be finite and positive")
 
     @property
     def domain_bound(self) -> float:

@@ -5,6 +5,14 @@ subset of the model priors, and a penalty c >= 0 with min c = 0. The
 aggregated Orlicz function of a prior P is the pointwise sup of
 (-u_i(-x)) / (1 + c_i(P)) over agents whose prior set contains P; the
 normalisation u(-1) = -1 pins phi_P(1) <= 1.
+
+Each term is a stock Orlicz class (`Utility.loss`): a linear utility
+s x gives `Scaled(Power(1), s, d)`, a CARA utility gives
+`Scaled(Exponential(beta), 1, d / scale)` and a piecewise-linear one a
+`PiecewiseLinear` with the knots reflected and the slopes divided by d.
+`aggregate_family` returns that class for a prior covered by one agent,
+the term with the largest slope s / d when every term is linear, and an
+`AggregateOrlicz` otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ import numpy as np
 from .errors import ValidationError
 from .model import ScenarioModel, canonicalise, expectation
 from .norms import DEFAULT_TOL, OrliczFamily, luxemburg_norm
-from .orlicz import INF, OrliczFunction, validate_orlicz
+from .orlicz import (INF, Exponential, OrliczFunction, PiecewiseLinear, Power, Scaled,
+                     validate_orlicz)
 
 NORMALISATION_TOL = 1e-9
 
@@ -30,11 +39,19 @@ class Utility:
     asymptotic_slope: float
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
+        """u elementwise; raw, like `OrliczFunction._eval_array`: it may
+        overflow, and its callers own numpy's error state."""
+        raise NotImplementedError
+
+    def loss(self, divisor: float) -> OrliczFunction:
+        """The Orlicz function x -> -u(-x) / divisor on x >= 0: a stock
+        class, or the one-term `AggregateOrlicz` where none holds it."""
         raise NotImplementedError
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        out = self.eval_array(np.atleast_1d(arr))
+        with np.errstate(over="ignore"):
+            out = self.eval_array(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -52,6 +69,9 @@ class LinearUtility(Utility):
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         return self.slope * x
+
+    def loss(self, divisor: float) -> OrliczFunction:
+        return Scaled(Power(1.0), self.slope, divisor)
 
 
 @dataclass(frozen=True)
@@ -75,8 +95,15 @@ class CARAUtility(Utility):
             raise ValidationError("CARA rate must be positive with exp(beta) finite") from None
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return self.scale * -np.expm1(-self.beta * x)
+        return self.scale * -np.expm1(-self.beta * x)
+
+    def loss(self, divisor: float) -> OrliczFunction:
+        # scale expm1(beta x) / divisor; for beta within ln(divisor) of
+        # the float range divisor / scale overflows, and only the
+        # aggregate holds the term
+        d = divisor / self.scale
+        return Scaled(Exponential(self.beta), 1.0, d) if d < INF else AggregateOrlicz(
+            [(self, divisor)])
 
 
 @dataclass(frozen=True)
@@ -129,6 +156,13 @@ class PiecewiseLinearUtility(Utility):
         # left of the first grid point the leftmost slope extends
         return np.where(x < grid[0], self._values[0] + self.slopes[0] * (x - grid[0]), out)
 
+    def loss(self, divisor: float) -> OrliczFunction:
+        # -u(-x) has a kink at -k for each knot k < 0 and, from x = 0 on,
+        # the slopes of u right to left
+        below = sum(k < 0.0 for k in self.knots)
+        return PiecewiseLinear([0.0] + [-k for k in reversed(self.knots[:below])],
+                               [s / divisor for s in reversed(self.slopes[:below + 1])])
+
 
 @dataclass(frozen=True)
 class Agent:
@@ -176,9 +210,18 @@ def evaluate_utility(model: ScenarioModel, agent: Agent, x) -> float:
 
 @dataclass(frozen=True)
 class AggregateOrlicz(OrliczFunction):
-    """phi(x) = max over agent terms of (-u(-x)) / (1 + c)."""
+    """phi(x) = max over agent terms of (-u(-x)) / (1 + c).
+
+    phi is evaluated from parts computed once from the terms: the linear
+    terms fold into one slope, max s / (1 + c); a CARA term is
+    (scale / (1 + c)) expm1(beta x); any other term is its utility's
+    `loss`.
+    """
 
     terms: tuple  # of (Utility, one_plus_c)
+    _slope: float = field(init=False, repr=False, compare=False)
+    _cara: tuple = field(init=False, repr=False, compare=False)
+    _losses: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, terms: Sequence[Tuple[Utility, float]]):
         terms = tuple((u, float(d)) for u, d in terms)
@@ -187,6 +230,12 @@ class AggregateOrlicz(OrliczFunction):
         if not all(1.0 <= d < INF for _, d in terms):
             raise ValidationError("divisors 1 + c must be finite and >= 1")
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_slope", max(
+            (u.slope / d for u, d in terms if isinstance(u, LinearUtility)), default=0.0))
+        object.__setattr__(self, "_cara", tuple(
+            (u.scale / d, u.beta) for u, d in terms if isinstance(u, CARAUtility)))
+        object.__setattr__(self, "_losses", tuple(
+            u.loss(d) for u, d in terms if not isinstance(u, (LinearUtility, CARAUtility))))
 
     @property
     def domain_bound(self) -> float:
@@ -197,10 +246,14 @@ class AggregateOrlicz(OrliczFunction):
         return max(u.asymptotic_slope / d for u, d in self.terms)
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
-        out = np.full(x.shape, -INF)
-        for u, d in self.terms:
-            out = np.maximum(out, -u.eval_array(-x) / d)
-        return np.maximum(out, 0.0)
+        # every part is >= 0 on x >= 0; without a linear part the max
+        # starts from 0 rather than from 0 x, which is NaN at x = inf
+        out = self._slope * x if self._slope else 0.0
+        for c, beta in self._cara:
+            out = np.maximum(out, c * np.expm1(beta * x))
+        for loss in self._losses:
+            out = np.maximum(out, loss._eval_array(x))
+        return out
 
 
 def aggregate_family(model: ScenarioModel, agents: Sequence[Agent]) -> OrliczFamily:
@@ -216,7 +269,12 @@ def aggregate_family(model: ScenarioModel, agents: Sequence[Agent]) -> OrliczFam
                  for a in agents if label in a.prior_labels]
         if not terms:
             raise ValidationError(f"prior {label!r} is covered by no agent")
-        phi = AggregateOrlicz(terms)
+        if len(terms) == 1 or all(isinstance(u, LinearUtility) for u, _ in terms):
+            # one term, or lines through 0 whose max is the steepest
+            u, d = max(terms, key=lambda t: t[0].asymptotic_slope / t[1])
+            phi = u.loss(d)
+        else:
+            phi = AggregateOrlicz(terms)
         validate_orlicz(phi)
         if phi(1.0) > 1.0 + NORMALISATION_TOL:
             raise ValidationError(
@@ -243,6 +301,8 @@ def verify_extension_bound(model: ScenarioModel, agents: Sequence[Agent],
     reported slack is the worst value of LHS - RHS and must be <= 0 up
     to tolerance.
     """
+    if sample_size < 1:
+        raise ValidationError("sample_size must be at least 1")
     rng = np.random.default_rng(seed)
     max_slack = -INF
     violations = 0
@@ -255,11 +315,12 @@ def verify_extension_bound(model: ScenarioModel, agents: Sequence[Agent],
             continue
         lam = value * (1.0 + 10.0 * tol)
         for agent in agents:
+            with np.errstate(over="ignore"):
+                loss = -agent.utility.eval_array(-abs_x / lam)
             for label in agent.prior_labels:
                 if label not in model.prior_labels:
                     continue
-                lhs = expectation(model.prior(label),
-                                  -agent.utility.eval_array(-abs_x / lam))
+                lhs = expectation(model.prior(label), loss)
                 slack = lhs - (1.0 + agent.penalty[label])
                 checks += 1
                 max_slack = max(max_slack, slack)

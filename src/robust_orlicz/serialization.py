@@ -145,9 +145,12 @@ def orlicz_from_json(data: Dict[str, Any]) -> OrliczFunction:
                 _floats(data["slopes"], "slopes"),
                 None if bound is None else decode_float(bound))
         if kind == "scaled":
+            one_plus_gamma = decode_float(data.get("one_plus_gamma", 1.0))
+            # the schema's divisor is an additive penalty's 1 + gamma
+            if not 1.0 <= one_plus_gamma < math.inf:
+                raise ValidationError("additive divisor must be finite with 1 + gamma >= 1")
             return Scaled(orlicz_from_json(data["inner"]),
-                          decode_float(data["theta"]),
-                          decode_float(data.get("one_plus_gamma", 1.0)))
+                          decode_float(data["theta"]), one_plus_gamma)
     except KeyError as e:
         raise ValidationError(f"orlicz spec of kind {kind!r} misses field {e}") from None
     raise ValidationError(f"unknown orlicz kind {kind!r}")

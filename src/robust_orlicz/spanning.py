@@ -48,6 +48,8 @@ def option_basis(model: ScenarioModel, x) -> OptionBasis:
     """Basis {1, (X - k)+ : k a distinct value of X except the largest}."""
     xc = canonicalise(model, x).values
     support = model.support_mask
+    if not np.all(np.isfinite(xc)):
+        raise ValidationError("option basis needs a finite claim")
     if np.any(xc[support] < 0):
         raise ValidationError("option basis needs a nonnegative claim")
     distinct = sorted(set(float(v) for v in xc[support]))
@@ -98,6 +100,9 @@ def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
     family.check_model(model)
     yc = canonicalise(model, y).values
     B = basis.vectors
+    # the least-squares starts need finite numbers
+    if not (np.all(np.isfinite(yc)) and np.all(np.isfinite(B))):
+        raise ValidationError("projection needs a finite target and a finite basis")
     pairs = [(prior, family.phi(label))
              for label, prior in zip(model.prior_labels, model.priors)]
     n = B.shape[0]
