@@ -302,8 +302,8 @@ def cmd_aggregate(args) -> int:
                                              tol=args.tol, seed=args.seed)
     grid = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
     payload = {"family": {l: {"kind": "aggregate",
-                              "values_on_grid": {str(g): family.phi(l)(g)
-                                                 for g in grid}}
+                              "values_on_grid": dict(zip(
+                                  map(str, grid), family.phi(l)(np.array(grid)).tolist()))}
                           for l in model.prior_labels},
                "extension_bound": rep}
     _emit(args, payload, text=_fmt(rep.max_slack))

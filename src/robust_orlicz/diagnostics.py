@@ -28,6 +28,8 @@ DIVERGENT_FLOOR = 1e-2
 DIVERGENT_RATIO = 0.9
 STABLE_REL_CHANGE = 1e-6
 TREND_REL_CHANGE = 1e-3
+# most points a discretised normal may have
+MAX_GRID_POINTS = 10 ** 7
 
 
 # -- truncated Gaussian models -------------------------------------------
@@ -36,10 +38,14 @@ TREND_REL_CHANGE = 1e-3
 def discretise_standard_normal(T: float = 10.0, h: float = 1e-3):
     """Midpoint-quadrature discretisation of N(0,1) on [-T, T].
 
-    Returns (values, probabilities) with the mass renormalised to 1.
+    Returns (values, probabilities) with the mass renormalised to 1; at
+    most 10**7 points, 2T/h.
     """
     if not 0.0 < h < T < math.inf:
         raise ValidationError("need 0 < h < T < inf")
+    if 2.0 * T / h > MAX_GRID_POINTS:
+        raise ValidationError(f"grid of 2T/h = {2.0 * T / h:.6g} points exceeds "
+                              f"{MAX_GRID_POINTS} points")
     n = int(round(2.0 * T / h))
     values = np.linspace(-T + 0.5 * h, T - 0.5 * h, n)
     w = np.exp(-0.5 * values ** 2)
@@ -161,8 +167,8 @@ class TailProfile:
 
 def _tail_slope(levels, norms) -> Optional[float]:
     """Least-squares slope of log tail norm against level, over the
-    strictly positive tail norms."""
-    pts = [(l, math.log(v)) for l, v in zip(levels, norms) if v > 0]
+    positive finite tail norms; None with fewer than two of them."""
+    pts = [(l, math.log(v)) for l, v in zip(levels, norms) if 0.0 < v < INF]
     if len(pts) < 2:
         return None
     ls = np.array([p[0] for p in pts])
@@ -185,6 +191,8 @@ def tail_membership(ladder: Sequence[Truncation],
     if not ladder:
         raise ValidationError("empty truncation ladder")
     levels = [float(l) for l in levels]
+    if not levels:
+        raise ValidationError("need at least one level")
     if np.isnan(levels).any():
         raise ValidationError("levels must not contain NaN")
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -226,39 +234,23 @@ def tail_membership(ladder: Sequence[Truncation],
 # -- membership classification -------------------------------------------
 
 
-def _per_prior_alpha_search(model: ScenarioModel, abs_x: np.ndarray,
-                            family: OrliczFamily, k_max: int = 60) -> bool:
-    """Every prior admits some alpha = 2^{-k} with a finite modular."""
-    for phi, a, masses, _ in _blocks(model, abs_x, family):
-        # the priors of a block try each alpha with one phi evaluation
-        pending = list(range(len(masses)))
-        for k in range(k_max + 1):
-            mods = _modulars((masses[j] for j in pending), a, phi, 2.0 ** k)
-            pending = [j for j, m in zip(pending, mods) if not m < INF]
-            if not pending:
-                break
-        if pending:
-            return False
-    return True
-
-
 def membership_classify(ladder, tol: float = DEFAULT_TOL) -> str:
     """Classify X as in_LPhi / in_frakL_only / outside_frakL / inconclusive.
 
-    A single finite truncation is decidable: the worst-case norm is
-    finite or not, and the per-prior scaling search settles the
-    intersection space. A ladder yields a trend verdict: norms that keep
-    growing by more than 0.1% per rung while every prior individually
-    admits a finite modular indicate membership in the intersection
-    space only.
+    Membership in the intersection space is exact on the finest
+    truncation: X is in it when its canonical |X| is finite there, as
+    every phi_P is finite on some (0, b) and the model is finite, and is
+    outside it otherwise (phi_P(inf) = inf on an atom P charges). A
+    single truncation is then decidable: the worst-case norm is finite or
+    not. A ladder yields a trend verdict: norms that keep growing by more
+    than 0.1% per rung indicate membership in the intersection space
+    only.
     """
     if isinstance(ladder, Truncation):
         ladder = [ladder]
     if not ladder:
         raise ValidationError("empty truncation ladder")
-    finest = ladder[-1]
-    frak = _per_prior_alpha_search(finest.model, _canonical_abs(finest), finest.family)
-    if not frak:
+    if not np.isfinite(_canonical_abs(ladder[-1])).all():
         return "outside_frakL"
     norms = [_robust_norm(t, tol=tol) for t in ladder]
     if len(norms) == 1:

@@ -184,9 +184,10 @@ class Agent:
             raise ValidationError("penalties must be finite and nonnegative")
         if min(penalty[l] for l in prior_labels) > NORMALISATION_TOL:
             raise ValidationError("penalty must vanish at some prior (min c = 0)")
-        if not abs(utility(0.0)) <= NORMALISATION_TOL:
+        at_zero, at_minus_one = utility(np.array([0.0, -1.0]))
+        if not abs(at_zero) <= NORMALISATION_TOL:
             raise ValidationError("utility must satisfy u(0) = 0")
-        if not abs(utility(-1.0) + 1.0) <= NORMALISATION_TOL:
+        if not abs(at_minus_one + 1.0) <= NORMALISATION_TOL:
             raise ValidationError(
                 "utility normalisation u(-1) = -1 violated; renormalise the "
                 "utility rather than relying on silent rescaling")
