@@ -368,6 +368,9 @@ def main(argv=None) -> int:
     if not (args.tol > 0 and math.isfinite(args.tol)):
         print("error: --tol must be finite and positive", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.seed < 0:
+        print("error: --seed must be a nonnegative integer", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         return COMMANDS[args.command](args)
     except ValidationError as e:

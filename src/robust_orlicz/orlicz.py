@@ -84,18 +84,19 @@ class OrliczFunction:
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def luxemburg_closed_form(self, weights: np.ndarray,
-                              abs_x: np.ndarray) -> Optional[float]:
+    def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
         """inf{lam > 0 : sum weights * phi(abs_x / lam) <= 1} in closed
         form, or None; `weights` are a prior's positive masses and abs_x
-        is not all 0.
+        is not all 0. Stacked, 2-D `weights` hold one prior per row, 0 on
+        the atoms it does not charge, and the result is an array of one
+        norm per row (0 for a row that charges no atom where abs_x > 0).
 
-        The fallback covers a finite domain bound b: below max abs_x / b
-        some abs_x / lam lies past b, where phi is inf, so that is the
-        norm when the sum is <= 1 there.
+        The fallback covers a finite domain bound b, for one prior only:
+        below max abs_x / b some abs_x / lam lies past b, where phi is
+        inf, so that is the norm when the sum is <= 1 there.
         """
         bound = self.domain_bound
-        if math.isinf(bound):
+        if weights.ndim != 1 or math.isinf(bound):
             return None
         top = float(np.max(abs_x))
         with np.errstate(over="ignore"):
@@ -316,8 +317,16 @@ class Power(OrliczFunction):
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         return x ** self.p
 
-    def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray) -> float:
-        return float(np.dot(weights, abs_x ** self.p) ** (1.0 / self.p))
+    def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
+        if weights.ndim == 1:
+            # the kernel's per-prior call: ~2.7 us, against ~6.1 us through
+            # the stacked form below on one row (same bits; 2-vCPU x86 host)
+            return float(np.dot(weights, abs_x ** self.p) ** (1.0 / self.p))
+        # one (1 x n) @ (n,) product per row, which numpy takes with np.dot's
+        # routine, and float_power, which rounds as a scalar ** does: each
+        # row rounds as the 1-D call on it (weights @ v and numpy's ** may not)
+        sums = (weights[:, None, :] @ abs_x ** self.p)[:, 0]
+        return np.float_power(sums, 1.0 / self.p)
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
@@ -401,8 +410,10 @@ class EssSupIndicator(OrliczFunction):
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         return np.where(x <= 1.0, 0.0, INF)
 
-    def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray) -> float:
-        return float(np.max(abs_x))
+    def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
+        if weights.ndim == 1:
+            return float(np.max(abs_x))
+        return np.max(np.where(weights > 0.0, abs_x, 0.0), axis=1)
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         return np.atleast_1d(np.asarray(y, dtype=float)).copy()
@@ -562,8 +573,7 @@ class Scaled(OrliczFunction):
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         return self.inner._eval_array(self.theta * x) / self.one_plus_gamma
 
-    def luxemburg_closed_form(self, weights: np.ndarray,
-                              abs_x: np.ndarray) -> Optional[float]:
+    def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
         # dividing a degree-d function by c divides its norm by c**(1/d)
         degree = self.inner.homogeneity_degree
         base = None if degree is None else self.inner.luxemburg_closed_form(weights, abs_x)
