@@ -187,18 +187,13 @@ def derivative_density(prior: np.ndarray, phi: OrliczFunction,
     infinite on some atom of the prior (z at or past a domain bound,
     where the modular jumps to infinity) it is P on those atoms and 0
     elsewhere. Atoms outside the prior's support carry 0.
-
-    Stacked, `prior` and z hold one prior per row (2-D, of one shape):
-    one `derivative_array` call serves every row, and the rule holds per
-    row.
     """
     pos = prior > 0
     deriv = np.zeros(prior.shape)
     deriv[pos] = phi.derivative_array(z[pos])
     inf_mask = np.isinf(deriv)
     if inf_mask.any():
-        # P times 1 on the infinite atoms and 0 elsewhere, in the rows that have one
-        deriv = np.where(inf_mask.any(axis=-1, keepdims=True), inf_mask, deriv)
+        return np.where(inf_mask, prior, 0.0)
     return prior * deriv
 
 

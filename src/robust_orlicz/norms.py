@@ -435,17 +435,6 @@ def _norm_bisection(mod: Callable[[float], float], tol: float,
     return 0.5 * (lo + hi), (lo, hi), it
 
 
-def _closed_form(phi: OrliczFunction, weights: np.ndarray, a: np.ndarray, top: float):
-    """phi.luxemburg_closed_form(weights, a) for max a = top, finite and
-    positive, or None. Where |X|**degree would leave the float range it
-    is taken on a / top and scaled back (exact by homogeneity)."""
-    degree = phi.homogeneity_degree
-    if degree is not None and degree < INF and abs(degree * math.log2(top)) > _EXP_RANGE:
-        value = phi.luxemburg_closed_form(weights, a / top)
-        return None if value is None else top * value
-    return phi.luxemburg_closed_form(weights, a)
-
-
 def _block_norms(masses: Sequence[np.ndarray], a: np.ndarray, phi: OrliczFunction,
                  tol: float, max_iter: int) -> list:
     """(norm, root-finder steps) of |X| under each prior of a block: a is
@@ -456,14 +445,20 @@ def _block_norms(masses: Sequence[np.ndarray], a: np.ndarray, phi: OrliczFunctio
     top = float(a.max()) if a.size else 0.0
     if top == INF or top == 0.0:
         return [(top, 0)] * len(masses)
+    degree = phi.homogeneity_degree
+    # |X|**degree would leave the float range: take the closed form of
+    # |X| / max|X| and scale back (exact by homogeneity)
+    rescale = degree is not None and degree < INF and abs(degree * math.log2(top)) > _EXP_RANGE
+    y = a / top if rescale else None
     out, pending = [], []
     for j, w in enumerate(masses):
-        value = _closed_form(phi, w, a, top)
+        value = top * phi.luxemburg_closed_form(w, y) if rescale else phi.luxemburg_closed_form(w, a)
         out.append((value, 0))
         if value is None:
             pending.append(j)
     if pending:
-        y = a / top
+        if y is None:
+            y = a / top
         # one error state for every step of the root-finders
         with np.errstate(over="ignore"):
             # a block of one runs its ladder in `_norm_bisection`
@@ -495,28 +490,6 @@ def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
     [(value, steps)] = _block_norms([prior[pos]], np.abs(np.asarray(x, dtype=float))[pos],
                                     phi, tol, max_iter)
     return (value, steps) if with_steps else value
-
-
-def stacked_norms(masses: np.ndarray, a: np.ndarray, phi: OrliczFunction,
-                  tol: float) -> np.ndarray:
-    """The norm of |X| under each row of `masses`, one prior per row with
-    0 on the atoms it does not charge, for a = |X| on the same atoms.
-
-    One stacked `luxemburg_closed_form` call gives them all where phi's
-    class has a stacked closed form (`_closed_form`, with max|X| over all
-    the atoms). Otherwise each row is the certified `_block_norms` of its
-    prior on the atoms it charges, as in `single_prior_luxemburg`.
-    """
-    top = float(a.max()) if a.size else 0.0
-    if 0.0 < top < INF:
-        values = _closed_form(phi, masses, a, top)
-        if values is not None:
-            return values
-    out = np.empty(len(masses))
-    for i, w in enumerate(masses):
-        pos = w > 0.0
-        [(out[i], _)] = _block_norms([w[pos]], a[pos], phi, tol, MAX_ITER)
-    return out
 
 
 def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamily,

@@ -65,7 +65,8 @@ class OrliczFunction:
     of those, and no subclass overrides them. Optional closed-form hooks:
     `luxemburg_closed_form` (fallback None, so root-finding, except at a
     domain bound), `conjugate_minimisers` (fallback None, so the dual norm
-    searches for its k), `homogeneity_degree` and `asymptotic_slope`.
+    searches for its k), `affine_pieces` (fallback None),
+    `homogeneity_degree` and `asymptotic_slope`.
     """
 
     #: d with phi(t x) = t**d phi(x) for all t > 0 (inf for a 0/inf
@@ -87,21 +88,25 @@ class OrliczFunction:
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
         """inf{lam > 0 : sum weights * phi(abs_x / lam) <= 1} in closed
         form, or None; `weights` are a prior's positive masses and abs_x
-        is not all 0. Stacked, 2-D `weights` hold one prior per row, 0 on
-        the atoms it does not charge, and the result is an array of one
-        norm per row (0 for a row that charges no atom where abs_x > 0).
+        is not all 0.
 
-        The fallback covers a finite domain bound b, for one prior only:
-        below max abs_x / b some abs_x / lam lies past b, where phi is
-        inf, so that is the norm when the sum is <= 1 there.
+        The fallback covers a finite domain bound b: below max abs_x / b
+        some abs_x / lam lies past b, where phi is inf, so that is the
+        norm when the sum is <= 1 there.
         """
         bound = self.domain_bound
-        if weights.ndim != 1 or math.isinf(bound):
+        if math.isinf(bound):
             return None
         top = float(np.max(abs_x))
         with np.errstate(over="ignore"):
             at_bound = self._eval_array(np.minimum(abs_x / top * bound, bound))
         return top / bound if float(np.dot(weights, at_bound)) <= 1.0 else None
+
+    def affine_pieces(self):
+        """(slopes, intercepts, bound) with phi(x) = max(0, max_k
+        slopes[k] x - intercepts[k]) for 0 <= x <= bound and phi = inf
+        past the bound, or None when phi is not of that form."""
+        return None
 
     def conjugate_minimisers(self, weights: np.ndarray, z: np.ndarray,
                              level: float = 1.0) -> Optional[np.ndarray]:
@@ -318,15 +323,10 @@ class Power(OrliczFunction):
         return x ** self.p
 
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
-        if weights.ndim == 1:
-            # the kernel's per-prior call: ~2.7 us, against ~6.1 us through
-            # the stacked form below on one row (same bits; 2-vCPU x86 host)
-            return float(np.dot(weights, abs_x ** self.p) ** (1.0 / self.p))
-        # one (1 x n) @ (n,) product per row, which numpy takes with np.dot's
-        # routine, and float_power, which rounds as a scalar ** does: each
-        # row rounds as the 1-D call on it (weights @ v and numpy's ** may not)
-        sums = (weights[:, None, :] @ abs_x ** self.p)[:, 0]
-        return np.float_power(sums, 1.0 / self.p)
+        return float(np.dot(weights, abs_x ** self.p) ** (1.0 / self.p))
+
+    def affine_pieces(self):
+        return ((1.0,), (0.0,), INF) if self.p == 1.0 else None
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
@@ -411,9 +411,10 @@ class EssSupIndicator(OrliczFunction):
         return np.where(x <= 1.0, 0.0, INF)
 
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
-        if weights.ndim == 1:
-            return float(np.max(abs_x))
-        return np.max(np.where(weights > 0.0, abs_x, 0.0), axis=1)
+        return float(np.max(abs_x))
+
+    def affine_pieces(self):
+        return (), (), 1.0
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         return np.atleast_1d(np.asarray(y, dtype=float)).copy()
@@ -499,6 +500,11 @@ class PiecewiseLinear(OrliczFunction):
             out = np.where(x > self.bound, INF, out)
         return out
 
+    def affine_pieces(self):
+        # segment i is the line through (breakpoints[i], phi(breakpoints[i]))
+        values = self._grid_values[-len(self.slopes):]
+        return self.slopes, tuple(self.slopes * self._knots - values), self.domain_bound
+
     def derivative_array(self, x: np.ndarray) -> np.ndarray:
         # index 0 is below the first breakpoint, where phi is flat
         out = np.append(0.0, self.slopes)[np.searchsorted(self._knots, x, side="right")]
@@ -580,6 +586,14 @@ class Scaled(OrliczFunction):
         if base is None:
             return super().luxemburg_closed_form(weights, abs_x)
         return self.theta * base / self.one_plus_gamma ** (1.0 / degree)
+
+    def affine_pieces(self):
+        pieces, d = self.inner.affine_pieces(), self.one_plus_gamma
+        if pieces is None:
+            return None
+        slopes, intercepts, bound = pieces
+        return (tuple(s * self.theta / d for s in slopes),
+                tuple(c / d for c in intercepts), bound / self.theta)
 
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         # sup x*y - inner(theta x)/d  =  inner*(d*y/theta) / d

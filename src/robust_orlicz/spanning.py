@@ -7,36 +7,33 @@ on the support; strikes are placed at the observed distinct values of X
 independent.
 
 The best approximation of a target Y by the span in the worst-case
-Luxemburg norm is a convex min-max problem over the coefficients. It is
-solved as its epigraph, min t subject to t >= ||Y - aB||_P for every
-prior P, by SLSQP with the analytic gradient of each per-prior norm
-(implicit differentiation of E_P phi(|r| / N) = 1), from a few warm and
-random starts whose final values must agree. Each point is evaluated
-once for all priors: the priors whose phi are equal form a block, which
-takes one stacked norm call and one stacked derivative call per point.
+Luxemburg norm is a convex min-max problem over the coefficients a. As
+||r||_P <= t exactly when sum_j P_j t phi(u_j / t) <= t for some u >= |r|,
+it is solved as one convex program in a and lifted variables, with no
+norm evaluated inside the solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .duality import derivative_density
 from .model import ScenarioModel, canonicalise
-from .norms import DEFAULT_TOL, MAX_ITER, OrliczFamily, _check_tol, stacked_norms
+from .norms import DEFAULT_TOL, MAX_ITER, OrliczFamily, _check_tol, sup_prior_norms
 from .orlicz import OrliczFunction
 
 INF = math.inf
 
-# SLSQP's stopping rule on the change in t, its iteration cap per call,
-# and the calls per start (each resumes from where the last one stopped)
-_SLSQP_FTOL = 1e-14
+# SLSQP's stop on the change in t (in units where |Y| <= 1; at 1e-15 the
+# last iterations of a start are failed line searches) and iteration cap
+_SLSQP_FTOL = 5e-15
 _SLSQP_MAXITER = 100
-_SLSQP_CALLS = 5
+# the cap on phi, phi' and z phi' in the rows, where 0 mass * inf is nan
+_CAP = 1e200
 
 
 @dataclass
@@ -85,24 +82,113 @@ def _equal(phi: OrliczFunction, other: OrliczFunction) -> bool:
         return False
 
 
-def _phi_blocks(phis: Sequence[OrliczFunction], masses: np.ndarray) -> list:
-    """(phi, rows, index, masses[rows]) per set of priors with equal phi,
-    in the order of their first member: rows lists the priors, and index
-    takes them from an array, as a slice (a view) where they are
-    consecutive (all of them, for a uniform family)."""
-    groups: list = []  # (phi, rows)
+def _phi_groups(phis: Sequence[OrliczFunction]) -> list:
+    """(phi, members) per set of equal phis, in the order of their first
+    member; members lists their indices."""
+    groups: list = []
     for i, phi in enumerate(phis):
-        rows = next((rows for head, rows in groups if _equal(head, phi)), None)
-        if rows is None:
+        members = next((members for head, members in groups if _equal(head, phi)), None)
+        if members is None:
             groups.append((phi, [i]))
         else:
-            rows.append(i)
-    blocks = []
-    for phi, rows in groups:
-        consecutive = rows[-1] - rows[0] == len(rows) - 1
-        index = slice(rows[0], rows[-1] + 1) if consecutive else np.array(rows)
-        blocks.append((phi, rows, index, masses[rows]))
-    return blocks
+            members.append(i)
+    return groups
+
+
+def _lifted_solver(model: ScenarioModel, yc: np.ndarray, B: np.ndarray,
+                   family: OrliczFamily, exact: float, optimize) -> Callable:
+    """solve(a0, f0) -> (coefficients, success flag) for the lifted program
+    of `project_onto_span` from a start a0 of robust norm f0 > exact.
+
+    On the m support atoms it minimises t over v = (a, t, u, w) with
+    u -+ (Y - aB) >= 0, t >= exact / 2, u, w >= 0 and, per prior P, the
+    perspective row t - t sum_j P_j phi(u_j / t) >= 0 or, for
+    phi = max(0, max_k s_k x - c_k) on [0, b] (`affine_pieces`), a w of
+    its own on the atoms P charges with w_j - s_k u_j + c_k t >= 0,
+    t - sum_j P_j w_j >= 0 and b t - u_j >= 0. z = u / t is the same for
+    every prior, so the priors whose phi are equal share one `_eval_array`
+    call per point and one `derivative_array` call per Jacobian, capped
+    at _CAP. It is solved for Y / c_Y and each B_i / c_i, powers of
+    2 just above their largest entries (the program is homogeneous), by
+    one SLSQP call from (a0, f0, |Y - a0 B|, the least feasible w) or, with
+    no perspective row, as one LP for every start.
+    """
+    support = model.support_mask
+    P = np.stack(model.priors)[:, support]
+    c_y = math.ldexp(1.0, math.frexp(np.abs(yc[support]).max())[1])
+    c_b = np.ldexp(1.0, np.frexp(np.abs(B[:, support]).max(axis=1))[1])
+    Bs, ys = B[:, support] / c_b[:, None], yc[support] / c_y
+    n, m = Bs.shape
+    smooth, linear = [], []  # (phi, masses) per group; (prior, pieces)
+    for phi, members in _phi_groups([family.phi(label) for label in model.prior_labels]):
+        pieces = phi.affine_pieces()
+        if pieces is None:
+            smooth.append((phi, P[members]))
+        else:
+            linear += [(i, pieces) for i in members]
+    # the linear rows G v + h >= 0, each w after u in prior order
+    u_end = n + 1 + m
+    width = u_end + sum(np.count_nonzero(P[i]) for i, (slopes, _, _) in linear if slopes)
+    I = np.eye(width)
+    e_t, e_u, fit = I[n], I[n + 1:u_end], Bs.T @ I[:n]
+    rows, w_blocks, col = [e_u + fit, e_u - fit], [], u_end
+    for i, (slopes, intercepts, bound) in sorted(linear, key=lambda item: item[0]):
+        J = np.flatnonzero(P[i])
+        if slopes:
+            e_w, col = I[col:col + J.size], col + J.size
+            w_blocks.append((J, np.asarray(slopes), np.asarray(intercepts)))
+            rows += [c * e_t - s * e_u[J] + e_w for s, c in zip(slopes, intercepts)]
+            rows.append(e_t - P[i, J] @ e_w)
+        if bound < INF:
+            rows.append(bound * e_t - e_u[J])
+    G = np.vstack(rows)
+    h = np.concatenate([-ys, ys, np.zeros(len(G) - 2 * m)])
+    bounds = [(None, None)] * n + [(0.5 * exact / c_y, None)] + [(0.0, None)] * (width - n - 1)
+    if not smooth:  # an LP: one HiGHS solve serves every start
+        res = optimize.linprog(e_t, A_ub=-G, b_ub=h, bounds=bounds, method="highs")
+        x = None if res.x is None else res.x[:n] * c_y / c_b
+        return lambda a0, f0: (a0, False) if x is None else (x, res.status == 0)
+    jac0 = np.vstack([G, np.zeros((sum(len(masses) for _, masses in smooth), width))])
+    last = {}  # phi(z) at the last point, for the Jacobian there
+
+    def point(v: np.ndarray) -> tuple:
+        key = v.tobytes()
+        if key not in last:
+            z = v[n + 1:u_end] / v[n]
+            last.clear()
+            last[key] = z, [np.fmin(phi._eval_array(z), _CAP) for phi, _ in smooth]
+        return last[key]
+
+    def constraints(v: np.ndarray) -> np.ndarray:
+        t, (_, values) = v[n], point(v)
+        return np.concatenate([G @ v + h] + [t - t * (masses @ phi_z)
+                                             for (_, masses), phi_z in zip(smooth, values)])
+
+    def jacobian(v: np.ndarray) -> np.ndarray:
+        z, values = point(v)
+        jac, row = jac0.copy(), len(G)
+        for (phi, masses), phi_z in zip(smooth, values):
+            d = np.fmin(phi.derivative_array(z), _CAP)
+            block = jac[row:row + len(masses)]
+            block[:, n] = 1.0 - masses @ np.fmax(phi_z - z * d, -_CAP)
+            block[:, n + 1:u_end] = -masses * d
+            row += len(masses)
+        return jac
+
+    def solve(a0: np.ndarray, f0: float) -> Tuple[np.ndarray, bool]:
+        a = a0 * c_b / c_y
+        t, u = f0 / c_y, np.abs(ys - a @ Bs)
+        w = [np.max(np.outer(s, u[J]) - np.outer(c, t), axis=0, initial=0.0)
+             for J, s, c in w_blocks]
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = optimize.minimize(
+                lambda v: v[n], np.concatenate([a, [t], u] + w), method="SLSQP",
+                jac=lambda v: e_t, bounds=bounds,
+                constraints={"type": "ineq", "fun": constraints, "jac": jacobian},
+                options={"ftol": _SLSQP_FTOL, "maxiter": _SLSQP_MAXITER})
+        return res.x[:n] * c_y / c_b, bool(res.success)
+
+    return solve
 
 
 def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
@@ -110,40 +196,21 @@ def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
                       n_restarts: int = 8, seed: int = 0) -> ProjectionResult:
     """Minimise ||Y - sum a_i B_i|| over the coefficients a.
 
-    Each start a0 solves the epigraph problem (minimise t subject to
-    t - ||Y - aB||_P >= 0 for every prior P) by SLSQP from
-    (a0, ||Y - a0 B||). Constraint row P has gradient 1 in t and, in a,
-    minus the implicit derivative of N = ||r||_P at r = Y - aB:
-    dN/da_i = -N <raw sign(r), B_i> / <raw, |r|>, raw = P phi'(|r| / N)
-    (`derivative_density`); the a-part is 0 when N = 0 or <raw, |r|> is
-    not finite and positive. A call that stops short (iteration cap, a
-    failed line search, or a step too small to register at a kink of
-    the norm) is resumed from its end point, with a fresh Hessian
-    estimate, while a call lowers the value by more than tol max(1, value),
-    at most _SLSQP_CALLS calls per start.
-
-    The rows are evaluated once per point. The priors whose phi are equal
-    (==, or identity where the comparison raises) form a block: one
-    `stacked_norms` call on their stacked masses gives their norms (one
-    closed form for the classes that have a stacked one, else each
-    prior's certified root-finder), and one stacked `derivative_density`
-    call gives raw for all of them; the two products of each gradient
-    row stay per prior. The stacked masses span all the atoms, 0 where a
-    prior has none, so that each row rounds as the prior alone does.
-
+    Each start is solved as one convex program in the coefficients and
+    lifted variables (`_lifted_solver`), with no norm inside the solve.
     The starts are plain and prior-weighted least squares on the
     support, zero, and `n_restarts` random ones; each is built only when
     the starts before it did not end at the exact minimum. A start whose
-    value is already at most max(10 tol, 1e-12) is returned without a
-    solve, and the first start that ends there stops the loop. Every
-    start must end within max(1e-6, 50 tol) max(1, best) of the best
-    value, else ConsistencyError. `restart_values` are the starts' final
-    values; `residual_norm` is the best of them, the largest per-prior
-    norm at the returned coefficients; `stationary` is SLSQP's success
-    flag for the last call of the best start (True for a start that
+    value is already at most exact = max(10 tol, 1e-12) is returned
+    without a solve, and the first start that ends there stops the loop.
+    Every start must end within max(1e-6, 50 tol) max(1, best) of the
+    best value, else ConsistencyError. `restart_values` are the starts'
+    final values, the robust norm at the better of the start and its
+    solution; `residual_norm` is the best of them; `stationary` is the
+    solver's success flag for the best start (True for a start that
     needed no solve).
     """
-    from scipy import optimize
+    from scipy import optimize  # here, so that every projection pays for it
 
     _check_tol(tol, MAX_ITER)
     _check_count(n_restarts, "n_restarts", 0)
@@ -157,60 +224,19 @@ def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
     # the least-squares starts need finite numbers
     if not (np.all(np.isfinite(yc)) and np.all(np.isfinite(B))):
         raise ValidationError("projection needs a finite target and a finite basis")
-    phis = [family.phi(label) for label in model.prior_labels]
-    priors = np.stack(model.priors)
-    blocks = _phi_blocks(phis, priors)
-    n = B.shape[0]
-    # SLSQP asks for the constraints and their Jacobian at the same point:
-    # the residual and the norms of the last point are kept for the second call
-    last = {}
-
-    def point(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        key = a.tobytes()
-        if key not in last:
-            r = yc - a @ B
-            abs_r = np.abs(r)
-            norms = np.empty(len(phis))
-            for phi, _, index, masses in blocks:
-                norms[index] = stacked_norms(masses, abs_r, phi, tol)
-            last.clear()
-            last[key] = r, abs_r, norms
-        return last[key]
 
     def worst(a: np.ndarray) -> float:
-        return float(point(a)[2].max())
+        return sup_prior_norms(model, np.abs(yc - a @ B), family, tol)[0]
 
+    n = B.shape[0]
     if worst(np.zeros(n)) == INF:
         raise ValidationError("projection target has infinite norm")
-
-    def constraints(v: np.ndarray) -> np.ndarray:
-        return v[n] - point(v[:n])[2]
-
-    def jacobian(v: np.ndarray) -> np.ndarray:
-        r, abs_r, norms = point(v[:n])
-        # per Jacobian, Python floats for the checks, the plain division
-        # when every norm is in (0, inf) and a view of z for a block of
-        # consecutive rows cost ~5 us less than array masks and a copy
-        # (17 against 23 us per Jacobian at one prior, 2-vCPU x86 host)
-        values = norms.tolist()
-        ok = [0.0 < norm < INF for norm in values]
-        z = abs_r / (norms if all(ok) else np.where(ok, norms, 1.0))[:, None]
-        sign = np.sign(r)
-        jac = np.zeros((len(phis), n + 1))
-        jac[:, n] = 1.0
-        for phi, rows, index, masses in blocks:
-            for i, raw in zip(rows, derivative_density(masses, phi, z[index])):
-                if ok[i]:
-                    denom = float(np.dot(raw, abs_r))
-                    if 0.0 < denom < INF:
-                        jac[i, :n] = values[i] * (B @ (raw * sign)) / denom
-        return jac
 
     def starts() -> Iterator[np.ndarray]:
         support = model.support_mask
         A, b = B[:, support].T, yc[support]
         yield np.linalg.lstsq(A, b, rcond=None)[0]
-        w = np.sqrt(np.maximum(np.mean(priors, axis=0)[support], 1e-12))
+        w = np.sqrt(np.maximum(np.mean(model.priors, axis=0)[support], 1e-12))
         yield np.linalg.lstsq(A * w[:, None], b * w, rcond=None)[0]
         yield np.zeros(n)
         rng = np.random.default_rng(seed)
@@ -218,26 +244,18 @@ def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
             yield rng.normal(scale=1.0 + np.abs(b).max(), size=n)
 
     exact = max(10.0 * tol, 1e-12)
-    e_t = np.eye(n + 1)[n]
+    solve = None  # built for the first start that needs it
     best_a, best_f, best_st = None, INF, False
     finals = []
     for a0 in starts():
         a, f, st = a0, worst(a0), True
-        for _ in range(_SLSQP_CALLS if f > exact else 0):
-            res = optimize.minimize(
-                lambda v: v[n], np.append(a, f), method="SLSQP",
-                jac=lambda v: e_t,
-                constraints={"type": "ineq", "fun": constraints, "jac": jacobian},
-                options={"ftol": _SLSQP_FTOL, "maxiter": _SLSQP_MAXITER})
-            st = bool(res.success)
-            a_new = np.asarray(res.x[:n], dtype=float)
+        if f > exact:
+            if solve is None:
+                solve = _lifted_solver(model, yc, B, family, exact, optimize)
+            a_new, st = solve(a0, f)
             f_new = worst(a_new)
-            if not f_new < f:
-                break
-            gain = f - f_new
-            a, f = a_new, f_new
-            if gain <= tol * max(1.0, f):
-                break
+            if f_new < f:
+                a, f = a_new, f_new
         finals.append(f)
         if f < best_f:
             best_a, best_f, best_st = a, f, st

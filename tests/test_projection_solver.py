@@ -1,8 +1,9 @@
-"""The projection solver: SLSQP on the epigraph of the worst-case norm.
+"""The projection solver: the lifted convex program of the worst-case norm.
 
-Regression instances, an evaluation-count guard, an LP oracle for the
-piecewise-linear families (Power(1), ess-sup), a restart-agreement sweep
-over the other Orlicz kinds, and the CLI `project` contract.
+Regression instances, an LP oracle for the piecewise-linear families
+(Power(1), ess-sup), a restart-agreement sweep over the other Orlicz
+kinds, and the CLI `project` contract. The evaluation-count guard is in
+test_lifted_rows.py.
 """
 
 import json
@@ -14,8 +15,8 @@ from scipy import optimize
 
 from robust_orlicz import (ConsistencyError, EssSupIndicator, Exponential,
                            OrliczFamily, PiecewiseLinear, Power, Scaled,
-                           ScenarioModel, ValidationError, norms,
-                           option_basis, project_onto_span, spanning)
+                           ScenarioModel, ValidationError, option_basis,
+                           project_onto_span)
 from robust_orlicz.cli import main
 
 
@@ -61,36 +62,6 @@ def test_restarts_agree_on_former_spread_cases(name):
     rho = res.residual_norm
     assert max(res.restart_values) - rho <= 1e-12 * max(1.0, rho)
     assert rho == pytest.approx(case["residual"], rel=1e-9)
-
-
-def test_single_prior_power2_norm_evaluations_bounded(monkeypatch):
-    # 6 atoms, one prior, Power(2); the coordinate-descent solver spent
-    # ~70 000 per-prior norms on it
-    prior = [0.09434341183596327, 0.23072600942732388, 0.021648434365956752,
-             0.07529559748937792, 0.18459572369272806, 0.3933908231886501]
-    x = [1.0, 4.0, 2.0, 1.0, 1.0, 3.0]
-    y = [0.983715344494681, 0.6300419507298725, -0.23805880511791805,
-         -1.8449398759528108, 0.16957772908778576, -0.17597776424923472]
-    calls = [0]
-    inner = norms.single_prior_luxemburg
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(norms, "single_prior_luxemburg", counting)
-    monkeypatch.setattr(spanning, "single_prior_luxemburg", counting, raising=False)
-    m = _model([prior])
-    basis = option_basis(m, x)
-    res = project_onto_span(m, y, basis, OrliczFamily.uniform(m, Power(2.0)),
-                            n_restarts=0)
-    assert calls[0] <= 500
-    # weighted least squares is the exact answer here
-    w = np.sqrt(np.asarray(prior))
-    A = basis.vectors.T * w[:, None]
-    coef, *_ = np.linalg.lstsq(A, np.asarray(y) * w, rcond=None)
-    oracle = math.sqrt(float(np.sum((np.asarray(y) * w - A @ coef) ** 2)))
-    assert res.residual_norm == pytest.approx(oracle, rel=1e-8)
 
 
 # -- seeded non-injective instances -----------------------------------------
