@@ -176,8 +176,7 @@ def cmd_dual_norm(args) -> int:
     mu = _parse_vector(args.mu)
     label = args.prior or model.prior_labels[0]
     val = duality.kothe_dual_norm(mu, model.prior(label), family.phi(label),
-                                  tol=args.tol, method=args.method,
-                                  rng=np.random.default_rng(args.seed))
+                                  tol=args.tol, method=args.method)
     _emit(args, {"dual_norm": val, "prior": label, "method": args.method},
           text=_fmt(val))
     return EXIT_OK

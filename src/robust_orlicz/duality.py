@@ -3,8 +3,8 @@
 The dual norm of a measure mu over a single prior P is
 sup{mu|X| : ||X||_{L^phi(P)} <= 1}. Two independent routes are
 implemented: the conjugate formula inf_{k>0} (1 + E_P[phi*(k Z)])/k with
-Z = d mu/dP, and a brute-force maximisation over random variables on
-small models. The cross-check between them is the module's main oracle.
+Z = d mu/dP, and a hyperplane route that never uses phi*. The
+cross-check between them is the module's main oracle.
 
 The conjugate route takes the k that minimise the objective from phi's
 `conjugate_minimisers`, a closed form on `Power`, `Exponential`,
@@ -20,6 +20,12 @@ is 1e-14 wide relative to |t|. The objective is quasiconvex in k, so the
 bracket keeps the minimiser. On either route every evaluated value is an
 upper bound on the dual norm (Young's inequality), and the smallest one
 is returned.
+
+The hyperplane route ("brute") is Hahn-Banach's ||mu||_* =
+1 / dist(0, {v : mu v = 1}), the distance a residual of `spanning`'s lifted
+program: solved from the best of the least-squares point and the vertices
+e_i / mu_i, then from each end point while the residual falls by more than
+tol max(1, residual). max mu / residual is a lower bound on the dual norm.
 """
 
 from __future__ import annotations
@@ -32,13 +38,11 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 from .model import MeasureVector, RandomVariable, ScenarioModel, canonicalise
-from .norms import (DEFAULT_TOL, NormResult, OrliczFamily, luxemburg_norm,
-                    single_prior_luxemburg)
+from .norms import (DEFAULT_TOL, MAX_ITER, NormResult, OrliczFamily, _check_tol,
+                    luxemburg_norm, sup_prior_norms)
 from .orlicz import OrliczFunction
 
 INF = math.inf
-
-_BRUTE_MAX_ATOMS = 6
 
 # points per bracket round of the conjugate-route search on log2 k
 _DUAL_GRID = np.linspace(0.0, 1.0, 33)
@@ -59,9 +63,13 @@ def kothe_dual_norm(mu, prior: np.ndarray, phi: OrliczFunction,
                     rng=None) -> float:
     """Dual norm sup{mu|X| : ||X||_{L^phi(P)} = 1} of a measure mu >= 0.
 
-    method is "conjugate", "brute" or "both"; "both" cross-checks the two
-    routes and raises ConsistencyError beyond 1e-6 relative disagreement.
+    method is "conjugate", "brute" (the hyperplane route) or "both"; "both"
+    cross-checks the two and raises ConsistencyError beyond 1e-6 relative
+    disagreement. rng is accepted and unused.
     """
+    if method not in ("conjugate", "brute", "both"):
+        raise ValidationError(f"unknown method {method!r}")
+    _check_tol(tol, MAX_ITER)
     m = mu.masses if isinstance(mu, MeasureVector) else np.asarray(mu, dtype=float)
     prior = np.asarray(prior, dtype=float)
     if m.shape != prior.shape:
@@ -75,16 +83,12 @@ def kothe_dual_norm(mu, prior: np.ndarray, phi: OrliczFunction,
         raise ValidationError("measure is not absolutely continuous w.r.t. the prior")
     if not np.any(m > 0):
         return 0.0
-    if method not in ("conjugate", "brute", "both"):
-        raise ValidationError(f"unknown method {method!r}")
     value_c = _dual_norm_conjugate(m, prior, phi) if method != "brute" else None
-    value_b = _dual_norm_brute(m, prior, phi, tol, rng) if method != "conjugate" else None
-    if value_c is not None and value_b is not None:
-        scale = max(1.0, value_c)
-        if abs(value_c - value_b) > 1e-6 * scale:
-            raise ConsistencyError(
-                f"conjugate-route dual norm {value_c!r} and brute-force "
-                f"value {value_b!r} disagree beyond 1e-6 relative")
+    value_b = _dual_norm_brute(m, prior, phi, tol) if method != "conjugate" else None
+    if method == "both" and abs(value_c - value_b) > 1e-6 * max(1.0, value_c):
+        raise ConsistencyError(
+            f"conjugate-route dual norm {value_c!r} and hyperplane-route "
+            f"value {value_b!r} disagree beyond 1e-6 relative")
     return value_c if value_c is not None else value_b
 
 
@@ -141,34 +145,35 @@ def _bracket_search(w: np.ndarray, z: np.ndarray, phi: OrliczFunction) -> float:
 
 
 def _dual_norm_brute(m: np.ndarray, prior: np.ndarray, phi: OrliczFunction,
-                     tol: float, rng=None) -> float:
-    from scipy.optimize import minimize
+                     tol: float) -> float:
+    # on the charged atoms, with mu scaled to max 1 at atom j, the
+    # hyperplane {v : mu v = 1} is e_j + span{e_i - mu_i e_j : i != j}
+    from scipy import optimize
+    from .spanning import _lifted_solver
 
-    n = m.size
-    if n > _BRUTE_MAX_ATOMS:
-        raise ValidationError(
-            f"brute-force dual norm is restricted to <= {_BRUTE_MAX_ATOMS} atoms")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    pos = prior > 0.0
+    mu = m[pos] / m.max()
+    j = int(mu.argmax())
+    model = ScenarioModel(range(mu.size), [prior[pos]])
+    family = OrliczFamily.uniform(model, phi)
+    y = np.eye(mu.size)[j]
+    B = np.delete(np.eye(mu.size) - np.outer(mu, y), j, axis=0)
 
-    def neg_ratio(x: np.ndarray) -> float:
-        ax = np.abs(x)
-        nrm = single_prior_luxemburg(prior, phi, ax, tol=tol)
-        if nrm <= 0 or not math.isfinite(nrm):
-            return 0.0
-        return -float(np.dot(m, ax)) / nrm
+    def residual(a: np.ndarray) -> float:
+        return sup_prior_norms(model, np.abs(y - a @ B), family, tol)[0]
 
-    best = 0.0
-    starts: List[np.ndarray] = [np.ones(n), m.copy()]
-    starts += [rng.exponential(size=n) for _ in range(62)]
-    for x0 in starts:
-        if not np.any(x0 > 0):
-            continue
-        res = minimize(neg_ratio, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12,
-                                "maxiter": 600, "maxfev": 900})
-        best = max(best, -float(res.fun))
-    return best
+    solve = _lifted_solver(model, y, B, family, max(10.0 * tol, 1e-12), optimize)
+    # start from the best of the hyperplane's least-squares point and vertices e_i / mu_i
+    points = np.vstack([np.zeros(mu.size), np.eye(mu.size)[mu > 0.0] / mu[mu > 0.0, None]])
+    a = min(np.linalg.lstsq(B.T, (y - points).T, rcond=None)[0].T, key=residual)
+    f = residual(a)
+    for _ in range(MAX_ITER):
+        a_new, _ = solve(a, f)
+        f_new = residual(a_new)
+        if not f - f_new > tol * max(1.0, f_new):
+            break
+        a, f = a_new, f_new
+    return float(m.max()) / min(f, f_new)
 
 
 @dataclass
@@ -215,12 +220,7 @@ def dual_witness(model: ScenarioModel, x, family: OrliczFamily,
     if value == 0.0 or value == INF:
         raise ValidationError("dual witness needs 0 < ||X|| < inf")
 
-    best_label = None
-    best = -INF
-    for label in model.prior_labels:
-        v = norm_result.per_prior_norms[label]
-        if v > best:
-            best, best_label = v, label
+    best_label = max(model.prior_labels, key=norm_result.per_prior_norms.__getitem__)
     prior = model.prior(best_label)
     phi = family.phi(best_label)
 
