@@ -22,10 +22,13 @@ upper bound on the dual norm (Young's inequality), and the smallest one
 is returned.
 
 The hyperplane route ("brute") is Hahn-Banach's ||mu||_* =
-1 / dist(0, {v : mu v = 1}), the distance a residual of `spanning`'s lifted
-program: solved from the best of the least-squares point and the vertices
-e_i / mu_i, then from each end point while the residual falls by more than
-tol max(1, residual). max mu / residual is a lower bound on the dual norm.
+1 / dist(0, {v : mu v = 1}) on the atoms mu charges, the distance a
+residual of `spanning`'s lifted program in the units of its start. Atoms
+join in rungs by the norm of their vertex e_i / mu_i, within 1e3, 1e6, ...
+times the best; each rung is solved from the better of the last point and
+its least-squares point, then from each end point while the residual falls
+by more than tol times itself. max mu / residual is a lower bound on the
+dual norm, up to the tolerance of the residual norms.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import ConsistencyError, ValidationError
 from .model import MeasureVector, RandomVariable, ScenarioModel, canonicalise
 from .norms import (DEFAULT_TOL, MAX_ITER, NormResult, OrliczFamily, _check_tol,
                     luxemburg_norm, sup_prior_norms)
-from .orlicz import OrliczFunction
+from .orlicz import OrliczFunction, Scaled
 
 INF = math.inf
 
@@ -146,34 +149,62 @@ def _bracket_search(w: np.ndarray, z: np.ndarray, phi: OrliczFunction) -> float:
 
 def _dual_norm_brute(m: np.ndarray, prior: np.ndarray, phi: OrliczFunction,
                      tol: float) -> float:
-    # on the charged atoms, with mu scaled to max 1 at atom j, the
-    # hyperplane {v : mu v = 1} is e_j + span{e_i - mu_i e_j : i != j}
+    # the norm is a lattice norm, so on the atoms mu charges, with mu scaled
+    # to max 1, 1 / ||mu||_* = min{||v|| : mu v = 1}: through its best vertex
+    # e_j / mu_j the hyperplane is e_j / mu_j + span{e_i - (mu_i / mu_j) e_j}
     from scipy import optimize
     from .spanning import _lifted_solver
 
-    pos = prior > 0.0
-    mu = m[pos] / m.max()
-    j = int(mu.argmax())
-    model = ScenarioModel(range(mu.size), [prior[pos]])
+    model = ScenarioModel(range(m.size), [prior])
     family = OrliczFamily.uniform(model, phi)
-    y = np.eye(mu.size)[j]
-    B = np.delete(np.eye(mu.size) - np.outer(mu, y), j, axis=0)
+    charged = m > 0.0
+    mu, p = m[charged] / m.max(), prior[charged]
+    eye = np.eye(mu.size)
 
-    def residual(a: np.ndarray) -> float:
-        return sup_prior_norms(model, np.abs(y - a @ B), family, tol)[0]
+    def norm(v: np.ndarray) -> float:
+        x = np.zeros(charged.size)
+        x[charged] = np.abs(v)
+        return sup_prior_norms(model, x, family, tol)[0]
 
-    solve = _lifted_solver(model, y, B, family, max(10.0 * tol, 1e-12), optimize)
-    # start from the best of the hyperplane's least-squares point and vertices e_i / mu_i
-    points = np.vstack([np.zeros(mu.size), np.eye(mu.size)[mu > 0.0] / mu[mu > 0.0, None]])
-    a = min(np.linalg.lstsq(B.T, (y - points).T, rcond=None)[0].T, key=residual)
-    f = residual(a)
-    for _ in range(MAX_ITER):
-        a_new, _ = solve(a, f)
-        f_new = residual(a_new)
-        if not f - f_new > tol * max(1.0, f_new):
-            break
-        a, f = a_new, f_new
-    return float(m.max()) / min(f, f_new)
+    # pivoting on the best vertex leaves the difference y_j - (aB)_j on an
+    # atom where it is cheap: on a heavy atom its rounding could outweigh
+    # the distance
+    vertex = np.array([norm(e / mu_i) for e, mu_i in zip(eye, mu)])
+    j = int(vertex.argmin())
+    y = eye[j] / mu[j]
+    v, f = y, vertex[j]
+    # atoms join in rungs, each with the vertices within a further factor
+    # 1e3 of the best: v is all but 0 on the far atoms, whose steep terms
+    # stall SLSQP until the near atoms hold their share
+    rung = np.log10(vertex / vertex[j]) // 3.0
+    for atoms in (np.flatnonzero(rung <= k) for k in np.unique(rung)):
+        rest, s = atoms[atoms != j], float(p[atoms].sum())
+        if not rest.size or 1.0 / s == INF:
+            continue
+        B = eye[rest] - np.outer(mu[rest], y)
+
+        def residual(a: np.ndarray) -> float:
+            return norm(y - a @ B)
+
+        a = min([-v[rest], np.linalg.lstsq(B.T, y, rcond=None)[0]], key=residual)
+        f = f0 = residual(a)
+        # solved on these atoms alone, as sum_i (p_i / s) s phi(x_i / f0):
+        # the solver scales t by Y's largest entry, and phi(x / f0) puts the
+        # start at 1, on the scale of u = |Y - aB|. t's floor 5e-13 sits far
+        # below the distance, at least 1 / atoms.size (|v_i| ||e_i|| <= ||v||)
+        sub = ScenarioModel(range(atoms.size), [p[atoms] / s])
+        scaled = OrliczFamily.uniform(sub, Scaled(phi, 1.0 / f0, 1.0 / s))
+        solve = _lifted_solver(sub, y[atoms], B[:, atoms], scaled, 1e-12, optimize)
+        for _ in range(MAX_ITER):
+            a_new, _ = solve(a, f / f0)
+            f_new = residual(a_new)
+            if not f - f_new > tol * f_new:
+                break
+            a, f = a_new, f_new
+        if f_new < f:
+            a, f = a_new, f_new
+        v = y - a @ B
+    return float(m.max()) / f
 
 
 @dataclass
@@ -220,7 +251,12 @@ def dual_witness(model: ScenarioModel, x, family: OrliczFamily,
     if value == 0.0 or value == INF:
         raise ValidationError("dual witness needs 0 < ||X|| < inf")
 
-    best_label = max(model.prior_labels, key=norm_result.per_prior_norms.__getitem__)
+    best_label = None
+    best = -INF
+    for label in model.prior_labels:
+        v = norm_result.per_prior_norms[label]
+        if v > best:
+            best, best_label = v, label
     prior = model.prior(best_label)
     phi = family.phi(best_label)
 

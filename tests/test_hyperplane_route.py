@@ -74,6 +74,45 @@ def test_routes_agree_on_every_class():
             assert abs(brute - both) <= 1e-9 * max(1.0, both), (phi, mu, prior)
 
 
+def _light_measure(rng):
+    # mu on atoms 10^U(-20, -3) times lighter than the rest, half the time
+    # also on the rest
+    n = int(rng.integers(2, 13))
+    prior = rng.exponential(size=n)
+    light = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+    prior[light] *= 10.0 ** rng.uniform(-20.0, -3.0, size=light.size)
+    prior /= prior.sum()
+    mu = prior * rng.exponential(size=n) * rng.integers(0, 2)
+    mu[light] += rng.exponential(size=light.size)
+    return mu * 10.0 ** rng.uniform(-3.0, 3.0), prior
+
+
+def test_routes_agree_where_mu_sits_on_light_atoms():
+    rng = np.random.default_rng(1930)
+    for make in STOCK * 2 + AGGREGATES:
+        phi = make(rng)
+        mu, prior = _light_measure(rng)
+        both = kothe_dual_norm(mu, prior, phi, method="both")
+        # the LP path's limit is test_kinked_phi_on_a_light_atom
+        if make in STOCK and phi.affine_pieces() is None:
+            brute = kothe_dual_norm(mu, prior, phi, method="brute")
+            assert abs(brute - both) <= 1e-9 * max(1.0, both), (phi, mu, prior)
+
+
+# the dual norm sqrt(sum mu^2 / P) = sqrt(1.5) 1e10: the distance to the
+# hyperplane, 8.2e-11, is far below the entries of its points
+LIGHT_PAIR = np.array([1.0 - 3e-20, 1e-20, 2e-20]), np.array([0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-2])
+def test_distance_far_below_the_target(tol):
+    prior, mu = LIGHT_PAIR
+    got = kothe_dual_norm(mu, prior, Power(2.0), tol=tol, method="brute")
+    assert got == pytest.approx(np.sqrt(1.5) * 1e10, rel=max(1e-9, tol))
+    assert kothe_dual_norm(mu, prior, Power(2.0), method="both") == pytest.approx(
+        np.sqrt(1.5) * 1e10, rel=1e-9)
+
+
 def test_no_atom_cap_and_no_draws():
     rng = np.random.default_rng(7)
     state = rng.bit_generator.state
