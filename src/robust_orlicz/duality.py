@@ -3,8 +3,8 @@
 The dual norm of a measure mu over a single prior P is
 sup{mu|X| : ||X||_{L^phi(P)} <= 1}. Two independent routes are
 implemented: the conjugate formula inf_{k>0} (1 + E_P[phi*(k Z)])/k with
-Z = d mu/dP, and a hyperplane route that never uses phi*. The
-cross-check between them is the module's main oracle.
+Z = d mu/dP, and that definition solved as a convex program, which never
+uses phi*. The cross-check between them is the module's main oracle.
 
 The conjugate route takes the k that minimise the objective from phi's
 `conjugate_minimisers`, a closed form on `Power`, `Exponential`,
@@ -21,14 +21,13 @@ bracket keeps the minimiser. On either route every evaluated value is an
 upper bound on the dual norm (Young's inequality), and the smallest one
 is returned.
 
-The hyperplane route ("brute") is Hahn-Banach's ||mu||_* =
-1 / dist(0, {v : mu v = 1}) on the atoms mu charges, the distance a
-residual of `spanning`'s lifted program in the units of its start. Atoms
-join in rungs by the norm of their vertex e_i / mu_i, within 1e3, 1e6, ...
-times the best; each rung is solved from the better of the last point and
-its least-squares point, then from each end point while the residual falls
-by more than tol times itself. max mu / residual is a lower bound on the
-dual norm, up to the tolerance of the residual norms.
+The definition route ("brute") maximises mu s subject to
+sum_j P_j phi(s_j) <= 1 and s >= 0 on the atoms mu charges, in
+s_j = v_j / ||e_j|| with v in [0, 1]^n: one LP when phi has
+`affine_pieces`, else SLSQP, re-solved from each end point rescaled
+onto the unit sphere. Every end point s gives mu s / ||s||, a lower
+bound up to the tolerance of the norm ||s||; the best one, or the best
+vertex, is returned.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 from .errors import ConsistencyError, ValidationError
 from .model import MeasureVector, RandomVariable, ScenarioModel, canonicalise
 from .norms import (DEFAULT_TOL, MAX_ITER, NormResult, OrliczFamily, _check_tol,
-                    luxemburg_norm, sup_prior_norms)
+                    luxemburg_norm, single_prior_luxemburg)
 from .orlicz import OrliczFunction, Scaled
 
 INF = math.inf
@@ -64,11 +63,12 @@ def prior_norm_bound(phi: OrliczFunction) -> float:
 def kothe_dual_norm(mu, prior: np.ndarray, phi: OrliczFunction,
                     tol: float = DEFAULT_TOL, method: str = "conjugate",
                     rng=None) -> float:
-    """Dual norm sup{mu|X| : ||X||_{L^phi(P)} = 1} of a measure mu >= 0.
+    """Dual norm sup{mu|X| : ||X||_{L^phi(P)} <= 1} of a measure mu >= 0.
 
-    method is "conjugate", "brute" (the hyperplane route) or "both"; "both"
-    cross-checks the two and raises ConsistencyError beyond 1e-6 relative
-    disagreement. rng is accepted and unused.
+    method is "conjugate" (inf_k (1 + E_P[phi*(k Z)]) / k), "brute" (the
+    sup as a convex program) or "both", which cross-checks the two and
+    raises ConsistencyError beyond 1e-6 relative disagreement. rng is
+    accepted and unused.
     """
     if method not in ("conjugate", "brute", "both"):
         raise ValidationError(f"unknown method {method!r}")
@@ -90,7 +90,7 @@ def kothe_dual_norm(mu, prior: np.ndarray, phi: OrliczFunction,
     value_b = _dual_norm_brute(m, prior, phi, tol) if method != "conjugate" else None
     if method == "both" and abs(value_c - value_b) > 1e-6 * max(1.0, value_c):
         raise ConsistencyError(
-            f"conjugate-route dual norm {value_c!r} and hyperplane-route "
+            f"conjugate-route dual norm {value_c!r} and definition-route "
             f"value {value_b!r} disagree beyond 1e-6 relative")
     return value_c if value_c is not None else value_b
 
@@ -149,62 +149,64 @@ def _bracket_search(w: np.ndarray, z: np.ndarray, phi: OrliczFunction) -> float:
 
 def _dual_norm_brute(m: np.ndarray, prior: np.ndarray, phi: OrliczFunction,
                      tol: float) -> float:
-    # the norm is a lattice norm, so on the atoms mu charges, with mu scaled
-    # to max 1, 1 / ||mu||_* = min{||v|| : mu v = 1}: through its best vertex
-    # e_j / mu_j the hyperplane is e_j / mu_j + span{e_i - (mu_i / mu_j) e_j}
+    # max{mu s : sum_j P_j phi(s_j) <= 1, s >= 0} on the atoms mu charges, in
+    # s_j = sigma_j v_j: sigma_j = 1 / ||e_j|| is where atom j alone meets the
+    # constraint, so v lies in [0, 1]^n, v = 1/n is feasible by convexity, and
+    # every row keeps its scale however light its atom
     from scipy import optimize
-    from .spanning import _lifted_solver
+    from .spanning import _CAP, _SLSQP_FTOL, _SLSQP_MAXITER
 
-    model = ScenarioModel(range(m.size), [prior])
-    family = OrliczFamily.uniform(model, phi)
-    charged = m > 0.0
-    mu, p = m[charged] / m.max(), prior[charged]
-    eye = np.eye(mu.size)
+    top = float(m.max())
+    mu, p = m[m > 0.0] / top, prior[m > 0.0]
+    sigma = np.array([1.0 / single_prior_luxemburg(p[j:j + 1], phi, [1.0], tol)
+                      for j in range(p.size)])
+    c = mu * sigma
+    vertex = float(c.max())  # the best vertex, the floor of the lower bound
+    n, total = p.size, float(p.sum())
+    if n == 1 or vertex == INF or 1.0 / total == INF:
+        return top * vertex
+    c /= vertex
+    # masses relative to their sum, phi scaled by it: the same constraint
+    w, psi = p / total, Scaled(phi, 1.0, 1.0 / total)
+    bounds = list(zip(np.zeros(n), np.minimum(1.0, psi.domain_bound / sigma)))
+    pieces = psi.affine_pieces()
+    if pieces is not None:
+        # one LP in (v, W): w_j (s_k sigma_j v_j - c_k) <= W_j, sum W <= 1; at
+        # HiGHS's default feasibility tolerances, 1e-7, it missed 1e-9 on light atoms
+        A = np.vstack([np.hstack([np.diag(w * s * sigma), -np.eye(n)]) for s in pieces[0]]
+                      + [np.append(np.zeros(n), np.ones(n))])
+        x = optimize.linprog(np.append(-c, np.zeros(n)), A_ub=A,
+                             b_ub=np.append([w * k for k in pieces[1]], 1.0),
+                             bounds=bounds + [(0.0, None)] * n, method="highs",
+                             options={"primal_feasibility_tolerance": 1e-10,
+                                      "dual_feasibility_tolerance": 1e-10}).x
 
-    def norm(v: np.ndarray) -> float:
-        x = np.zeros(charged.size)
-        x[charged] = np.abs(v)
-        return sup_prior_norms(model, x, family, tol)[0]
+        def solve(v: np.ndarray) -> np.ndarray:
+            return v if x is None else x[:n]
+    else:
+        row = {"type": "ineq",
+               "fun": lambda v: 1.0 - w @ np.fmin(psi._eval_array(sigma * v), _CAP),
+               "jac": lambda v: -np.fmin(w * sigma * psi.derivative_array(sigma * v), _CAP)[None]}
 
-    # pivoting on the best vertex leaves the difference y_j - (aB)_j on an
-    # atom where it is cheap: on a heavy atom its rounding could outweigh
-    # the distance
-    vertex = np.array([norm(e / mu_i) for e, mu_i in zip(eye, mu)])
-    j = int(vertex.argmin())
-    y = eye[j] / mu[j]
-    v, f = y, vertex[j]
-    # atoms join in rungs, each with the vertices within a further factor
-    # 1e3 of the best: v is all but 0 on the far atoms, whose steep terms
-    # stall SLSQP until the near atoms hold their share
-    rung = np.log10(vertex / vertex[j]) // 3.0
-    for atoms in (np.flatnonzero(rung <= k) for k in np.unique(rung)):
-        rest, s = atoms[atoms != j], float(p[atoms].sum())
-        if not rest.size or 1.0 / s == INF:
-            continue
-        B = eye[rest] - np.outer(mu[rest], y)
-
-        def residual(a: np.ndarray) -> float:
-            return norm(y - a @ B)
-
-        a = min([-v[rest], np.linalg.lstsq(B.T, y, rcond=None)[0]], key=residual)
-        f = f0 = residual(a)
-        # solved on these atoms alone, as sum_i (p_i / s) s phi(x_i / f0):
-        # the solver scales t by Y's largest entry, and phi(x / f0) puts the
-        # start at 1, on the scale of u = |Y - aB|. t's floor 5e-13 sits far
-        # below the distance, at least 1 / atoms.size (|v_i| ||e_i|| <= ||v||)
-        sub = ScenarioModel(range(atoms.size), [p[atoms] / s])
-        scaled = OrliczFamily.uniform(sub, Scaled(phi, 1.0 / f0, 1.0 / s))
-        solve = _lifted_solver(sub, y[atoms], B[:, atoms], scaled, 1e-12, optimize)
-        for _ in range(MAX_ITER):
-            a_new, _ = solve(a, f / f0)
-            f_new = residual(a_new)
-            if not f - f_new > tol * f_new:
-                break
-            a, f = a_new, f_new
-        if f_new < f:
-            a, f = a_new, f_new
-        v = y - a @ B
-    return float(m.max()) / f
+        def solve(v: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return optimize.minimize(
+                    lambda v: -(c @ v), v, method="SLSQP", jac=lambda v: -c,
+                    bounds=bounds, constraints=row,
+                    options={"ftol": _SLSQP_FTOL, "maxiter": _SLSQP_MAXITER}).x
+    # each end point s gives the lower bound mu s / ||s||; it is rescaled onto
+    # the sphere (SLSQP clips a start to the bounds) and solved again while
+    # the bound rises by more than tol times itself
+    v, last, best = np.full(n, 1.0 / n), 0.0, 1.0
+    for _ in range(MAX_ITER):
+        v = solve(v)
+        norm = single_prior_luxemburg(p, phi, sigma * v, tol)
+        value = float(c @ v) / norm if norm > 0.0 else 0.0
+        best = max(best, value)
+        if not value > last * (1.0 + tol):
+            break
+        v, last = v / norm, value
+    return top * vertex * best
 
 
 @dataclass
@@ -251,12 +253,7 @@ def dual_witness(model: ScenarioModel, x, family: OrliczFamily,
     if value == 0.0 or value == INF:
         raise ValidationError("dual witness needs 0 < ||X|| < inf")
 
-    best_label = None
-    best = -INF
-    for label in model.prior_labels:
-        v = norm_result.per_prior_norms[label]
-        if v > best:
-            best, best_label = v, label
+    best_label = max(model.prior_labels, key=norm_result.per_prior_norms.__getitem__)
     prior = model.prior(best_label)
     phi = family.phi(best_label)
 

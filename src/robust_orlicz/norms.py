@@ -374,15 +374,16 @@ def _norm_bisection(mod: Callable[[float], float], tol: float,
 
     Brackets the root by halving or doubling lam from 1 (`_ladder`;
     `start` is its outcome when it was run already), then narrows the
-    bracket [lo, hi] (mod(lo) > 1 >= mod(hi)) until hi - lo <= tol * hi,
-    by Illinois regula falsi on (log lam, log mod). Each step lands at
-    least tol * hi / 2 inside the bracket, so an estimate at the root
-    closes the bracket from the far side. The step is the geometric
-    midpoint instead while an end's modular is 0 or inf (no secant
-    through it: a zero region, a domain bound, a jump) and after two
-    steps in a row that moved the same end without halving log(hi / lo),
-    which keeps the worst case near bisection's step count.
-    Returns (value, (lo, hi), steps); value may be 0.0 or inf.
+    bracket [lo, hi] (mod(lo) > 1 >= mod(hi)) until hi - lo <= tol * hi
+    or max_iter steps, by Illinois regula falsi on (log lam, log mod).
+    Each step lands at least tol * hi / 2 inside the bracket, so an
+    estimate at the root closes the bracket from the far side. The step
+    is the geometric midpoint instead while an end's modular is 0 or inf
+    (no secant through it: a zero region, a domain bound, a jump) and
+    after two steps in a row that moved the same end without halving
+    log(hi / lo), which keeps the worst case near bisection's step count.
+    Returns (value, (lo, hi), steps), the ladder's steps included; value
+    may be 0.0 or inf.
     """
     if start is None:
         ladder = _ladder()
@@ -403,7 +404,7 @@ def _norm_bisection(mod: Callable[[float], float], tol: float,
     f_hi = math.log(m_hi) if m_hi > 0.0 else None
     last_hi, slow = None, 0
     width = math.log(hi / lo)
-    while it < max_iter and hi - lo > tol * hi:
+    while it - start[4] < max_iter and hi - lo > tol * hi:
         if slow >= 2 or f_lo is None or f_hi is None:
             c = math.sqrt(lo) * math.sqrt(hi)
         else:
@@ -470,7 +471,8 @@ def _block_norms(masses: Sequence[np.ndarray], a: np.ndarray, phi: OrliczFunctio
                 lam, _, steps = _norm_bisection(
                     lambda lam: _compact_modular(w, y, phi, lam, True), tol / 2.0, max_iter, start)
                 out[j] = (top * lam, steps)
-    return out
+    # a nonzero |X| has a positive norm, though its value may underflow
+    return [(max(value, math.ulp(0.0)), steps) for value, steps in out]
 
 
 def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,

@@ -112,6 +112,23 @@ class TestFloatRange:
         assert luxemburg_norm(model, c * x, fam).value == pytest.approx(c * base, rel=1e-9)
 
 
+    @pytest.mark.parametrize("phi", [Power(1.0), PiecewiseLinear([0.42], [1.0])], ids=repr)
+    def test_subnormal_x_has_a_positive_norm(self, phi):
+        # the norm underflows to 0; it is reported as the least positive float
+        model = ScenarioModel(["a", "b"], [[0.29, 0.71]])
+        res = luxemburg_norm(model, [5e-324, 0.0], OrliczFamily.uniform(model, phi))
+        assert res.value == math.ulp(0.0) and res.bracket[0] == 0.0
+
+    def test_cli_subnormal_x_exits_0(self, tmp_path, capsys):
+        mpath, fpath = tmp_path / "m.json", tmp_path / "f.json"
+        mpath.write_text(json.dumps({"atoms": ["a", "b"],
+                                     "priors": [{"label": "P1", "masses": [0.29, 0.71]}]}))
+        fpath.write_text(json.dumps({"uniform": {"kind": "power", "p": 1}}))
+        rc = main(["norm", "--model", str(mpath), "--family", str(fpath),
+                   "--x", "5e-324,0", "--format", "text"])
+        assert (rc, float(capsys.readouterr().out)) == (0, math.ulp(0.0))
+
+
 class TestPowerOverflow:
     """Power values past the float range are inf, with no numpy warning."""
 

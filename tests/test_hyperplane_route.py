@@ -1,7 +1,7 @@
-"""The hyperplane route of the Köthe dual norm (method="brute"): the
-distance-to-hyperplane form of Hahn-Banach, solved as the projection's
-lifted program, against the conjugate route; and the input contract of
-`kothe_dual_norm` ahead of its zero-measure shortcut."""
+"""The definition route of the Köthe dual norm (method="brute"): the sup
+of mu s over the unit ball, solved as one LP or by SLSQP, against the
+conjugate route; and the input contract of `kothe_dual_norm` ahead of its
+zero-measure shortcut."""
 
 import json
 
@@ -93,8 +93,7 @@ def test_routes_agree_where_mu_sits_on_light_atoms():
         phi = make(rng)
         mu, prior = _light_measure(rng)
         both = kothe_dual_norm(mu, prior, phi, method="both")
-        # the LP path's limit is test_kinked_phi_on_a_light_atom
-        if make in STOCK and phi.affine_pieces() is None:
+        if make in STOCK:
             brute = kothe_dual_norm(mu, prior, phi, method="brute")
             assert abs(brute - both) <= 1e-9 * max(1.0, both), (phi, mu, prior)
 
@@ -139,8 +138,6 @@ def test_vertex_start_on_a_light_atom():
     assert kothe_dual_norm(mu, prior, Power(1.0), method="both") == pytest.approx(3.0, rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="HiGHS drops the LP's entries below 1e-9, so the "
-                                       "route keeps its vertex start, 3.0")
 def test_kinked_phi_on_a_light_atom():
     # phi*(y) = y / 2 for y <= 1: the conjugate route's 3 + 0.5 sum mu is exact
     prior, mu = LIGHT_ATOM
@@ -175,6 +172,14 @@ def test_cli_both_on_nine_atoms(tmp_path, capsys):
     rc, out = _cli(tmp_path, capsys, [1.0 / 9.0] * 9, {"kind": "power", "p": 2},
                    "1,2,3,4,5,6,7,8,9", "both")
     assert (rc, out) == (0, "50.6458290484")
+
+
+def test_cli_both_on_a_light_atom(tmp_path, capsys):
+    prior, _ = LIGHT_ATOM
+    rc, out = _cli(tmp_path, capsys, list(prior),
+                   {"kind": "piecewise_linear", "breakpoints": [0.5], "slopes": [1.0]},
+                   "0.5,3e-10", "both")
+    assert (rc, out) == (0, "3.25000000015")
 
 
 # Z = mu / P = (0, 1e300): the conjugate route takes k = 2**1000 (the cap of

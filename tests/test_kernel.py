@@ -224,3 +224,15 @@ class TestRootFinder:
             assert mod(lo) > 1.0 >= mod(hi)
             assert lo <= lam <= hi and hi - lo <= TOL / 2.0 * hi
         assert steps_taken > 0
+
+    def test_ladder_steps_do_not_count_against_max_iter(self):
+        # the norm of |X| / max|X| is about 2**-319: the ladder alone takes
+        # 319 halvings, more than MAX_ITER, and the narrowing still follows
+        prior = np.array([1.0, 6.418738699481516e-97])
+        phi = PiecewiseLinear([1.3948674243563872], [0.9286480876306539])
+        x = np.array([1.671e-96, 1.0])
+        value, steps = single_prior_luxemburg(prior, phi, x, with_steps=True)
+        assert steps > norms.MAX_ITER
+        assert value == pytest.approx(9.357415425e-97, rel=1e-9)
+        assert (norms.single_prior_modular(prior, phi, x, value * (1.0 - 1e-10)) > 1.0
+                >= norms.single_prior_modular(prior, phi, x, value * (1.0 + 1e-10)))

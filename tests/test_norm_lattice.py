@@ -8,7 +8,7 @@ left and the upper end on the right, up to rounding in the modular."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_family, random_model
@@ -37,6 +37,7 @@ vectors = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=4, max_size=1
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), vectors)
+@example(seed=344, values=[5e-324, 0.0, 0.0, 0.0])  # ||X|| underflowed to 0
 def test_triangle_inequality(seed, values):
     m, family, x, y = _case(seed, values)
     lo_sum, _ = _bracket(m, x + y, family)
