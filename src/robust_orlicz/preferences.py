@@ -256,6 +256,18 @@ class AggregateOrlicz(OrliczFunction):
             out = np.maximum(out, loss._eval_array(x))
         return out
 
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        # the right derivative of a max of convex parts is the largest right
+        # derivative among the parts that attain it
+        xs = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = [(self._slope * xs, np.full(xs.shape, self._slope))] if self._slope else []
+            parts += [(c * np.expm1(beta * xs), c * beta * np.exp(beta * xs))
+                      for c, beta in self._cara]
+            parts += [(loss._eval_array(xs), loss.derivative_array(xs)) for loss in self._losses]
+            top = np.max([value for value, _ in parts], axis=0)
+            return np.max([np.where(value == top, slope, 0.0) for value, slope in parts], axis=0)
+
 
 def aggregate_family(model: ScenarioModel, agents: Sequence[Agent]) -> OrliczFamily:
     """Pointwise-sup aggregation of the agents' risk attitudes per prior.

@@ -10,7 +10,8 @@ import pytest
 
 from robust_orlicz import (Exponential, OrliczFamily, Power, ScenarioModel, option_basis,
                            project_onto_span)
-from test_projection_solver import _lp_residual, _non_injective_instance, _sweep_phis
+from test_projection_solver import (_assert_certified, _lp_residual, _non_injective_instance,
+                                    _sweep_phis)
 
 # (kind, s) of `_non_injective_instance` at rng [11, s] with n_restarts=2
 FORMER_SPREADS = [("piecewise_linear_bounded", s) for s in (4, 12, 32, 64, 66)]
@@ -22,7 +23,7 @@ def test_former_spread_instances(kind, s):
     m, fam, x, y = _non_injective_instance(np.random.default_rng([11, s]), _sweep_phis(kind))
     basis = option_basis(m, x)
     res = project_onto_span(m, y, basis, fam, n_restarts=2)
-    assert len(res.restart_values) == 5
+    _assert_certified(res.residual_norm, res.lower_bound)
     assert 0.0 < res.residual_norm < math.inf
     if kind == "ess_sup":
         oracle = _lp_residual(m, fam, basis, y)
@@ -63,5 +64,17 @@ def test_steep_exponential(s):
     m, fam, x, y = _non_injective_instance(rng, lambda r, k: [Exponential(beta)] * k)
     y = y * float(10.0 ** rng.uniform(-3.0, 3.0))
     res = project_onto_span(m, y, option_basis(m, x), fam, n_restarts=8, seed=s)
-    assert len(res.restart_values) == 11
+    _assert_certified(res.residual_norm, res.lower_bound)
     assert 0.0 < res.residual_norm < math.inf
+
+
+@pytest.mark.parametrize("name", sorted(UNSCALED))
+@pytest.mark.parametrize("c", [1e8, 1e20])
+def test_claim_scaled_far_above_1(name, c):
+    # the random fallback starts are drawn in the solver's units, c_Y / c_B
+    phi, expected = UNSCALED[name]
+    family = OrliczFamily.uniform(SCALE_MODEL, phi)
+    res = project_onto_span(SCALE_MODEL, SCALE_Y, option_basis(SCALE_MODEL, c * SCALE_X), family)
+    assert res.residual_norm == pytest.approx(_residual(phi, SCALE_X, SCALE_Y), rel=1e-9)
+    assert res.residual_norm == pytest.approx(expected, rel=1e-8)
+    _assert_certified(res.residual_norm, res.lower_bound)

@@ -1,8 +1,8 @@
 """The projection solver: the lifted convex program of the worst-case norm.
 
 Regression instances, an LP oracle for the piecewise-linear families
-(Power(1), ess-sup), a restart-agreement sweep over the other Orlicz
-kinds, and the CLI `project` contract. The evaluation-count guard is in
+(Power(1), ess-sup), a certificate sweep over the other Orlicz kinds,
+and the CLI `project` contract. The evaluation-count guard is in
 test_lifted_rows.py.
 """
 
@@ -22,6 +22,15 @@ from robust_orlicz.cli import main
 
 def _model(priors):
     return ScenarioModel([f"w{i}" for i in range(len(priors[0]))], priors)
+
+
+def _assert_certified(rho, lower, tol=1e-10):
+    """The duality-gap certificate of `project_onto_span`: the lower bound
+    is within the gate below the residual norm, and above it by at most a
+    quarter of the kernel's bracket width tol (0.125 tol at most in this
+    suite; the projection itself raises only beyond tol)."""
+    assert rho - lower <= max(1e-6, 50.0 * tol) * max(1.0, rho)
+    assert lower <= rho + 0.25 * tol * max(1.0, rho)
 
 
 # -- regression instances ---------------------------------------------------
@@ -60,7 +69,7 @@ def test_restarts_agree_on_former_spread_cases(name):
     res = project_onto_span(m, case["y"], option_basis(m, case["x"]), fam,
                             n_restarts=0)
     rho = res.residual_norm
-    assert max(res.restart_values) - rho <= 1e-12 * max(1.0, rho)
+    _assert_certified(rho, res.lower_bound)
     assert rho == pytest.approx(case["residual"], rel=1e-9)
 
 
@@ -179,7 +188,7 @@ def test_restarts_agree_across_orlicz_kinds(seed):
     m, fam, x, y = _non_injective_instance(np.random.default_rng([8, seed]),
                                            _sweep_phis(kind))
     res = project_onto_span(m, y, option_basis(m, x), fam, n_restarts=2)
-    assert len(res.restart_values) == 5
+    _assert_certified(res.residual_norm, res.lower_bound)
     assert 0.0 < res.residual_norm < math.inf
 
 
@@ -207,7 +216,7 @@ def test_cli_project_non_injective(tmp_path, capsys, spec, residual):
     assert rc == 0, captured.err
     report = json.loads(captured.out)
     assert report["residual_norm"] == pytest.approx(residual, rel=1e-9)
-    assert len(report["restart_values"]) == 11
+    _assert_certified(report["residual_norm"], report["lower_bound"])
 
 
 # -- Exponential conjugate ----------------------------------------------------
