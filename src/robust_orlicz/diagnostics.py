@@ -52,12 +52,19 @@ def discretise_standard_normal(T: float = 10.0, h: float = 1e-3):
     return values, w / w.sum()
 
 
+def _log_gaussian_abs_moment(n: int) -> float:
+    return 0.5 * n * math.log(2.0) + math.lgamma(0.5 * (n + 1)) - 0.5 * math.log(math.pi)
+
+
 def gaussian_abs_moment(n: int) -> float:
-    """E|U|^n = 2^{n/2} Gamma((n+1)/2) / sqrt(pi) for U standard normal."""
+    """E|U|^n = 2^{n/2} Gamma((n+1)/2) / sqrt(pi) for U standard normal;
+    inf past the float range (n >= 302)."""
     if n < 0:
         raise ValidationError("moment order must be nonnegative")
-    return math.exp(0.5 * n * math.log(2.0) + math.lgamma(0.5 * (n + 1))
-                    - 0.5 * math.log(math.pi))
+    try:
+        return math.exp(_log_gaussian_abs_moment(n))
+    except OverflowError:
+        return INF
 
 
 @dataclass
@@ -130,16 +137,21 @@ def moment_growth(values: np.ndarray, probs: np.ndarray,
 
     Checks the sequence is nondecreasing (power-mean inequality, exact)
     and compares against the closed-form untruncated Gaussian values,
-    flagging relative deviation > 1% (soft) and > 10% (hard).
+    flagging relative deviation > 1% (soft) and > 10% (hard). Both roots
+    stay in the float range: the sample's is max|U| E[(|U| / max|U|)^n]^{1/n}
+    and the oracle's exp(log E|U|^n / n).
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     abs_v = np.abs(np.asarray(values, dtype=float))
     probs = np.asarray(probs, dtype=float)
+    top = float(abs_v.max(initial=0.0))
+    scale = top if 0.0 < top < INF else 1.0
+    y = abs_v / scale
     roots, oracle, soft, hard = [], [], [], []
     for n in range(1, n_max + 1):
-        m = float(np.dot(probs, abs_v ** n)) ** (1.0 / n)
-        o = gaussian_abs_moment(n) ** (1.0 / n)
+        m = scale * float(np.dot(probs, y ** n)) ** (1.0 / n)
+        o = math.exp(_log_gaussian_abs_moment(n) / n)
         dev = abs(m - o) / o
         roots.append(m)
         oracle.append(o)
@@ -295,6 +307,8 @@ def mixture_witness(model: ScenarioModel, x, family: OrliczFamily,
     sum_j 2^{-j} (1+gamma_j)^{-1} E_{P_j}[phi_{P_j}(alpha |X|)].
     """
     family.check_model(model)
+    if not 0.0 < alpha < INF:
+        raise ValidationError("alpha must be finite and positive")
     if gamma is None:
         gamma = {l: 0.0 for l in model.prior_labels}
     abs_x = np.abs(canonicalise(model, x).values)
@@ -327,16 +341,15 @@ def mixture_witness(model: ScenarioModel, x, family: OrliczFamily,
                     per_prior_norms=per_prior, mixture=None,
                     modular_lower_bound=0.0)
 
-    if not 0.0 < alpha < INF:
-        raise ValidationError("alpha must be finite and positive")
     chosen = set(sel)
     mods = {}
-    for phi, a, masses, labels in _blocks(model, abs_x, family):
-        picked = [j for j, member in enumerate(labels) if not chosen.isdisjoint(member)]
-        if picked:
-            values = _modulars((masses[j] for j in picked), a, phi, 1.0 / alpha)
-            for j, m in zip(picked, values):
-                mods.update(dict.fromkeys(labels[j], m))
+    with np.errstate(over="ignore"):
+        for phi, a, masses, labels in _blocks(model, abs_x, family):
+            picked = [j for j, member in enumerate(labels) if not chosen.isdisjoint(member)]
+            if picked:
+                values = _modulars((masses[j] for j in picked), a, phi, 1.0 / alpha)
+                for j, m in zip(picked, values):
+                    mods.update(dict.fromkeys(labels[j], m))
     raw = np.zeros(model.n_atoms)
     contributions = []
     bound = 0.0

@@ -48,6 +48,12 @@ INF = math.inf
 
 # points per bracket round of the conjugate-route search on log2 k
 _DUAL_GRID = np.linspace(0.0, 1.0, 33)
+# SLSQP's stop on the change in its objective (in units where the data are at
+# most 1; at 1e-15 the last iterations are failed line searches) and its cap
+_SLSQP_FTOL = 5e-15
+_SLSQP_MAXITER = 100
+# the cap on phi, phi' and z phi' in SLSQP's rows, where 0 mass * inf is nan
+_CAP = 1e200
 
 
 def prior_norm_bound(phi: OrliczFunction) -> float:
@@ -154,7 +160,6 @@ def _dual_norm_brute(m: np.ndarray, prior: np.ndarray, phi: OrliczFunction,
     # constraint, so v lies in [0, 1]^n, v = 1/n is feasible by convexity, and
     # every row keeps its scale however light its atom
     from scipy import optimize
-    from .spanning import _CAP, _SLSQP_FTOL, _SLSQP_MAXITER
 
     top = float(m.max())
     mu, p = m[m > 0.0] / top, prior[m > 0.0]

@@ -19,28 +19,26 @@ arithmetic.
 
 Priors with equal supports (`ScenarioModel.support_classes`) keep the
 same atoms for any X, so they share |X| on them; those that also share
-one phi object (`OrliczFamily.shared`) form a block, and a prior with a
-phi of its own is a block of one. A block evaluates phi(|X| / lam) once
-per lam and takes one dot product with each prior's masses: in the
-certificate's joint modular, in `modular`, and in the bracketing ladders
-of the single-prior root-finders, which run in lockstep over the block
-from lam = 1 (`_brackets`); the Illinois steps after them stay per prior.
-Each value and each dot product is the same arithmetic as for the prior
-alone, so per-prior norms, step counts, brackets and modulars are
-bit-identical to it. phi may overflow to inf: the root-finding of a
-block, the certificate and `modular` each enter np.errstate(over="ignore")
-once and evaluate phi raw inside it, while the closed forms enter none. A block holds at most one phi evaluation: the
-masses are the priors themselves when they keep every atom and are
-gathered one prior at a time otherwise.
+phi form a block (an `OrliczFamily` makes equal functions one object),
+and a prior with a phi of its own is a block of one. A block evaluates
+phi(|X| / lam) once per lam and takes one dot product with each prior's
+masses (`_modulars`): in the certificate's joint modular, in `modular`,
+and in the bracketing ladders of the single-prior root-finders, which
+run in lockstep over the block from lam = 1 (`_brackets`); the Illinois
+steps after them stay per prior. Each value and each dot product is the
+same arithmetic as for the prior alone, so per-prior norms, step counts,
+brackets and modulars are bit-identical to it. phi may overflow to inf:
+every caller of `_modulars` enters np.errstate(over="ignore") once
+around its evaluations, while the closed forms enter none. A block holds
+at most one phi evaluation; `_blocks` says how it gathers its masses.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, Generator, Iterable, Iterator, Mapping, Optional,
-                    Sequence, Tuple)
+from dataclasses import dataclass
+from typing import (Callable, Dict, Generator, Iterable, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -67,19 +65,21 @@ _CERT_HALF_WIDTH = 0.45
 class OrliczFamily:
     """Assignment of one Orlicz function to each prior of a model.
 
-    `shared` holds the ids of the function objects assigned to more than
-    one prior: the kernels evaluate those once for all their priors.
+    Equal functions become one object, the first of them, so that the
+    kernels and the projection evaluate it once for all its priors. A
+    function that is unhashable, or whose == raises, stays its own object.
     """
 
     functions: Mapping[str, OrliczFunction]
-    shared: frozenset = field(init=False, repr=False, compare=False)
 
     def __init__(self, functions: Mapping[str, OrliczFunction]):
-        object.__setattr__(self, "functions", dict(functions))
-        ids = list(map(id, self.functions.values()))
-        shared = () if len(set(ids)) == len(ids) else (
-            i for i, count in Counter(ids).items() if count > 1)
-        object.__setattr__(self, "shared", frozenset(shared))
+        first, mapped = {}, {}
+        for label, phi in dict(functions).items():
+            try:
+                mapped[label] = first.setdefault(phi, phi)
+            except Exception:  # unhashable, or == raised: phi stays itself
+                mapped[label] = phi
+        object.__setattr__(self, "functions", mapped)
 
     def phi(self, label: str) -> OrliczFunction:
         try:
@@ -178,59 +178,15 @@ def _check_scale(lam: float) -> None:
         raise ValidationError("modular scale must be positive")
 
 
-def _compact_modular(w: np.ndarray, a: np.ndarray, phi: OrliczFunction,
-                     lam: float, raw: bool = False) -> float:
-    """sum w * phi(a / lam) for positive masses w; phi >= 0, so the dot
-    product is inf exactly when some phi(a / lam) is. (values.dot(w) is
-    the same BLAS dot as np.dot(w, values), without its dispatch.)
-
-    phi may overflow to inf, so this enters np.errstate(over="ignore");
-    with `raw`, the caller has entered it, as the kernels do once around
-    all their evaluations."""
-    if raw:
-        return float(phi._eval_array(a / lam).dot(w))
-    with np.errstate(over="ignore"):
-        return float(phi._eval_array(a / lam).dot(w))
-
-
 def _modulars(masses: Iterable[np.ndarray], a: np.ndarray, phi: OrliczFunction,
-              lam: float, raw: bool = False) -> list:
-    """`_compact_modular` for each w in `masses`, from one evaluation of
-    phi(a / lam); `raw` as there."""
-    if raw:
-        values = phi._eval_array(a / lam)
-    else:
-        with np.errstate(over="ignore"):
-            values = phi._eval_array(a / lam)
+              lam: float) -> list:
+    """sum w * phi(a / lam) for each w in `masses` (positive masses), from
+    one evaluation of phi(a / lam); phi >= 0, so a sum is inf exactly when
+    some phi(a / lam) is. phi may overflow to inf: the caller enters
+    np.errstate(over="ignore"). (values.dot(w) is the same BLAS dot as
+    np.dot(w, values), without its dispatch.)"""
+    values = phi._eval_array(a / lam)
     return list(map(float, map(values.dot, masses)))
-
-
-def _compact_groups(model: ScenarioModel, abs_x: np.ndarray,
-                    first: Optional[str] = None) -> Iterator[tuple]:
-    """(labels, prior, keep) per group of equal priors, one support class
-    after the other: keep marks the atoms the prior charges where
-    |X| > 0; it is one object per class, and None when those atoms are
-    all the atoms. With `first`, that prior's class comes first, its group
-    first in the class and the prior first in the group."""
-    labels, groups, classes = model.prior_labels, model.prior_groups, model.support_classes
-    if first is not None:
-        k = labels.index(first)
-        c, g = next((c, g) for c, members in enumerate(classes)
-                    for g in members if k in groups[g])
-        groups, group, classes, members = list(groups), list(groups[g]), list(classes), list(classes[c])
-        group.remove(k)
-        groups[g] = [k] + group
-        members.remove(g)
-        del classes[c]
-        classes.insert(0, [g] + members)
-    nonzero = abs_x > 0.0
-    for members in classes:
-        keep = (model.priors[groups[members[0]][0]] > 0.0) & nonzero
-        if np.count_nonzero(keep) == keep.size:
-            keep = None
-        for j in members:
-            group = groups[j]
-            yield list(map(labels.__getitem__, group)), model.priors[group[0]], keep
 
 
 class _Gathered:
@@ -248,56 +204,68 @@ class _Gathered:
 
 
 def _blocks(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamily,
-            first: Optional[str] = None) -> Iterator[tuple]:
+            first: Optional[str] = None) -> list:
     """(phi, a, masses, labels) per block: the priors of a support class
-    whose phi is one shared object, or a prior with a phi of its own. a is
-    |X| on the atoms they keep, masses[j] is member j's masses there and
-    labels[j] its labels. Blocks follow `_compact_groups`, a shared phi's
-    at the end of its class; with `first`, that prior's class comes first
-    and the prior first in its block."""
-    phi_of, shared_ids = family.phi, family.shared
-    shared: dict = {}  # of the current class: id(phi) -> (phi, priors, labels)
-    keep, a = False, abs_x
-    for labels, prior, group_keep in _compact_groups(model, abs_x, first):
-        if group_keep is not keep:
-            if shared:
-                yield from _shared_blocks(shared, a, keep)
-                shared = {}
-            keep = group_keep
-            a = abs_x if keep is None else abs_x[keep]
-        w = None
-        for label in labels:
-            phi = phi_of(label)
-            if id(phi) not in shared_ids:
-                if w is None:
-                    w = prior if keep is None else prior[keep]
-                yield phi, a, [w], [[label]]
-                continue
-            block = shared.get(id(phi))
-            if block is None:
-                shared[id(phi)] = (phi, [prior], [[label]])
-            elif block[1][-1] is prior:
-                block[2][-1].append(label)
+    that share one phi object. a is |X| on the atoms they keep (those they
+    charge where |X| > 0), gathered once per class; masses[j] is the masses
+    there of the block's j-th group of equal priors and labels[j] the
+    labels of its members in the block. A group's masses are gathered once
+    and shared by its blocks; a block that spans several groups gathers
+    them on each access unless they keep every atom. With `first`, that
+    prior's block comes first and its group first in the block."""
+    labels, priors, groups, classes = (model.prior_labels, model.priors,
+                                       model.prior_groups, model.support_classes)
+    if first is not None:
+        k = labels.index(first)
+        g = next(g for g, group in enumerate(groups) if k in group)
+        groups = list(groups)
+        groups[g] = (k,) + tuple(i for i in groups[g] if i != k)
+        classes = sorted(classes, key=lambda members: g not in members)
+        classes[0] = (g,) + tuple(j for j in classes[0] if j != g)
+    nonzero = abs_x > 0.0
+    out = []
+    for members in classes:
+        keep = (priors[groups[members[0]][0]] > 0.0) & nonzero
+        if np.count_nonzero(keep) == keep.size:
+            keep = None
+        a = abs_x if keep is None else abs_x[keep]
+        found: dict = {}  # id(phi) -> (phi, {group: its labels with phi})
+        for j in members:
+            for k in groups[j]:
+                phi = family.phi(labels[k])
+                found.setdefault(id(phi), (phi, {}))[1].setdefault(j, []).append(labels[k])
+        gathered: dict = {}  # group -> its masses on keep, shared by its blocks
+        for phi, names in found.values():
+            if len(names) > 1:
+                ws = [priors[groups[j][0]] for j in names]
+                ws = ws if keep is None else _Gathered(ws, keep)
             else:
-                block[1].append(prior)
-                block[2].append([label])
-    if shared:
-        yield from _shared_blocks(shared, a, keep)
+                [j] = names
+                if j not in gathered:
+                    w = priors[groups[j][0]]
+                    gathered[j] = w if keep is None else w[keep]
+                ws = [gathered[j]]
+            out.append((phi, a, ws, list(names.values())))
+    return out
 
 
-def _shared_blocks(shared: dict, a: np.ndarray, keep) -> list:
-    """The blocks of the shared phis of a support class; their masses are
-    the priors themselves when those keep all the atoms, and else gathered
-    on each access."""
-    return [(phi, a, priors if keep is None else _Gathered(priors, keep), labels)
-            for phi, priors, labels in shared.values()]
+def _single_prior_input(prior, x) -> tuple:
+    """prior and X as float arrays, checked to be of one shape, X without NaN."""
+    prior, x = np.asarray(prior, dtype=float), np.asarray(x, dtype=float)
+    if x.shape != prior.shape:
+        raise ValidationError(f"random variable of shape {x.shape} for a prior of {prior.shape}")
+    if np.isnan(x).any():
+        raise ValidationError("random variable has NaN entries")
+    return prior, x
 
 
 def single_prior_modular(prior: np.ndarray, phi: OrliczFunction,
                          abs_x: np.ndarray, lam: float) -> float:
     _check_scale(lam)
+    prior, abs_x = _single_prior_input(prior, abs_x)
     pos = prior > 0.0
-    return _compact_modular(prior[pos], abs_x[pos], phi, lam)
+    with np.errstate(over="ignore"):
+        return _modulars([prior[pos]], abs_x[pos], phi, lam)[0]
 
 
 def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily) -> float:
@@ -309,7 +277,7 @@ def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily) -> float:
     best = 0.0
     with np.errstate(over="ignore"):
         for phi, a, masses, _ in _blocks(model, abs_x, family):
-            best = max(best, *_modulars(masses, a, phi, lam, True))
+            best = max(best, *_modulars(masses, a, phi, lam))
     return best
 
 
@@ -464,12 +432,12 @@ def _block_norms(masses: Sequence[np.ndarray], a: np.ndarray, phi: OrliczFunctio
         with np.errstate(over="ignore"):
             # a block of one runs its ladder in `_norm_bisection`
             starts = [None] if len(pending) == 1 else _brackets(
-                lambda lam, idx: _modulars((masses[pending[i]] for i in idx), y, phi, lam, True),
+                lambda lam, idx: _modulars((masses[pending[i]] for i in idx), y, phi, lam),
                 len(pending))
             for j, start in zip(pending, starts):
                 w = masses[j]
                 lam, _, steps = _norm_bisection(
-                    lambda lam: _compact_modular(w, y, phi, lam, True), tol / 2.0, max_iter, start)
+                    lambda lam: float(phi._eval_array(y / lam).dot(w)), tol / 2.0, max_iter, start)
                 out[j] = (top * lam, steps)
     # a nonzero |X| has a positive norm, though its value may underflow
     return [(max(value, math.ulp(0.0)), steps) for value, steps in out]
@@ -488,9 +456,9 @@ def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
     returns (value, steps).
     """
     _check_tol(tol, max_iter)
+    prior, x = _single_prior_input(prior, x)
     pos = prior > 0.0
-    [(value, steps)] = _block_norms([prior[pos]], np.abs(np.asarray(x, dtype=float))[pos],
-                                    phi, tol, max_iter)
+    [(value, steps)] = _block_norms([prior[pos]], np.abs(x[pos]), phi, tol, max_iter)
     return (value, steps) if with_steps else value
 
 
@@ -533,7 +501,7 @@ def _certify(model: ScenarioModel, abs_x: np.ndarray, value: float, delta: float
         with np.errstate(over="ignore"):
             for phi, a, masses, labels in _blocks(model, abs_x, family, first):
                 if hi is not None:
-                    for member, m in zip(labels, _modulars(masses, a, phi, hi, True)):
+                    for member, m in zip(labels, _modulars(masses, a, phi, hi)):
                         for label in member:
                             at_hi = max(at_hi, m - offsets[label])
                 if lo is not None and not at_lo > 1.0:

@@ -21,24 +21,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .duality import _dual_norm_conjugate
+from .duality import _CAP, _SLSQP_FTOL, _SLSQP_MAXITER, _dual_norm_conjugate
 from .model import ScenarioModel, canonicalise
 from .norms import DEFAULT_TOL, MAX_ITER, OrliczFamily, _check_tol, sup_prior_norms
-from .orlicz import OrliczFunction
 
 INF = math.inf
-
-# SLSQP's stop on the change in t (in units where |Y| <= 1; at 1e-15 the
-# last iterations of a start are failed line searches) and iteration cap
-_SLSQP_FTOL = 5e-15
-_SLSQP_MAXITER = 100
-# the cap on phi, phi' and z phi' in the rows, where 0 mass * inf is nan
-_CAP = 1e200
 
 
 @dataclass
@@ -78,27 +70,6 @@ class ProjectionResult:
 def _check_count(value, name: str, minimum: int) -> None:
     if not (isinstance(value, (int, np.integer)) and value >= minimum):
         raise ValidationError(f"{name} must be an integer >= {minimum}")
-
-
-def _equal(phi: OrliczFunction, other: OrliczFunction) -> bool:
-    """phi == other, or identity where the comparison raises."""
-    try:
-        return phi is other or bool(phi == other)
-    except Exception:
-        return False
-
-
-def _phi_groups(phis: Sequence[OrliczFunction]) -> list:
-    """(phi, members) per set of equal phis, in the order of their first
-    member; members lists their indices."""
-    groups: list = []
-    for i, phi in enumerate(phis):
-        members = next((members for head, members in groups if _equal(head, phi)), None)
-        if members is None:
-            groups.append((phi, [i]))
-        else:
-            members.append(i)
-    return groups
 
 
 def _scales(yc: np.ndarray, B: np.ndarray, support: np.ndarray) -> tuple:
@@ -147,7 +118,10 @@ def _lifted_solver(model: ScenarioModel, yc: np.ndarray, B: np.ndarray,
     n, m = Bs.shape
     smooth, linear = [], []  # (phi, masses) per group; (prior, pieces)
     smooth_owner = []  # the prior of each perspective row
-    for phi, members in _phi_groups(phis):
+    groups: dict = {}  # id(phi) -> (phi, its priors); a family makes equal phis one object
+    for i, phi in enumerate(phis):
+        groups.setdefault(id(phi), (phi, []))[1].append(i)
+    for phi, members in groups.values():
         pieces = phi.affine_pieces()
         if pieces is None:
             smooth.append((phi, P[members]))

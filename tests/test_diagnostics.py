@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from robust_orlicz import (OrliczFamily, Power, ScenarioModel, Truncation,
                            gaussian_abs_moment, gaussian_power_ladder,
                            gaussian_uniform_family_ladder, membership_classify,
                            mixture_witness, moment_growth, tail_membership)
+from robust_orlicz.cli import main
 
 # coarse grid keeps unit tests fast; the acceptance suite runs the fine one
 T_COARSE, H_COARSE = 8.0, 0.01
@@ -47,6 +49,24 @@ class TestMomentGrowth:
         v, p = coarse_normal
         rep = moment_growth(v, p, 15)
         assert all(b >= a for a, b in zip(rep.roots, rep.roots[1:]))
+
+    def test_orders_past_the_float_range(self):
+        # E|U|^n leaves the float range at n = 302 and |v|^n from n = 309
+        v, p = discretise_standard_normal(10.0, 1e-3)
+        rep = moment_growth(v, p, 400)
+        assert all(map(math.isfinite, rep.roots + rep.oracle_roots))
+        assert all(b >= a for a, b in zip(rep.roots, rep.roots[1:]))
+        assert rep.roots[-1] < 10.0 < rep.oracle_roots[-1]
+        assert gaussian_abs_moment(301) < math.inf == gaussian_abs_moment(302)
+        assert math.log(rep.oracle_roots[-1]) == pytest.approx(
+            (0.5 * 400 * math.log(2.0) + math.lgamma(200.5) - 0.5 * math.log(math.pi)) / 400,
+            rel=1e-14)
+
+    def test_cli_moments_past_the_float_range(self, capsys):
+        assert main(["moments", "--n-max", "400"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)
 
     def test_first_exceeds_two_at_eleven(self):
         # closed-form untruncated values: the root sequence crosses 2
@@ -148,8 +168,12 @@ class TestMixtureWitness:
         rep = mixture_witness(t.model, t.x, t.family)
         assert rep.modular_lower_bound == pytest.approx(sum(rep.contributions))
 
+    @pytest.mark.parametrize("priors", [[[0.5, 0.5]], [[0.5, 0.5], [0.2, 0.8]]],
+                             ids=["one-prior", "two-priors"])
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_alpha_that_is_not_finite_positive(self, uniform2_model, alpha):
-        fam = OrliczFamily.uniform(uniform2_model, Power(2))
+    def test_rejects_alpha_that_is_not_finite_positive(self, priors, alpha):
+        # with two priors fewer than three qualify, so no mixture is built
+        model = ScenarioModel(["a", "b"], priors)
+        fam = OrliczFamily.uniform(model, Power(2))
         with pytest.raises(ValidationError):
-            mixture_witness(uniform2_model, [1.0, 2.0], fam, alpha=alpha)
+            mixture_witness(model, [1.0, 2.0], fam, alpha=alpha)

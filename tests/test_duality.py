@@ -171,3 +171,18 @@ class TestPriorNormBound:
         for _ in range(20):
             b = prior_norm_bound(random_phi(rng))
             assert 0 < b < INF
+
+
+def test_duality_imports_nothing_from_spanning():
+    # the projection builds on the dual norms, not the other way round
+    import ast
+    import inspect
+
+    from robust_orlicz import duality, spanning
+
+    tree = ast.parse(inspect.getsource(duality))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not any(name and name.split(".")[-1] == "spanning" for name in imported)
+    assert spanning._CAP is duality._CAP

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from robust_orlicz import (Exponential, ScenarioModel,
+from robust_orlicz import (Exponential, OrliczFamily, Power, ScenarioModel,
                            gaussian_power_ladder, luxemburg_norm, modular,
                            single_prior_luxemburg, tail_membership)
 from robust_orlicz import diagnostics, norms
@@ -92,14 +92,14 @@ class TestGroupedKernel:
         rng = np.random.default_rng(3)
         prior = rng.dirichlet(np.ones(2000))
         x = rng.normal(size=2000)
-        inner = norms._compact_modular
+        inner = Exponential._eval_array
         calls = []
 
         def counted(*args):
             calls.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(norms, "_compact_modular", counted)
+        monkeypatch.setattr(Exponential, "_eval_array", counted)
         value, steps = single_prior_luxemburg(prior, Exponential(beta), x, with_steps=True)
         assert steps > 0
         assert 0 < len(calls) <= 12
@@ -107,18 +107,24 @@ class TestGroupedKernel:
     def test_one_gather_per_group(self, monkeypatch, rng):
         m = ScenarioModel([f"w{i}" for i in range(50)], [random_prior(rng, 50)] * 6
                           + [random_prior(rng, 50)] * 4)
-        fam = random_family(rng, m)
-        inner = norms._compact_groups
-        gathered = []
+        # a phi of its own per prior: ten blocks of one over two groups
+        fam = OrliczFamily({l: Power(1.0 + 0.1 * i) for i, l in enumerate(m.prior_labels)})
+        abs_x = np.abs(rng.normal(size=50))
+        abs_x[7] = 0.0  # so that the masses are gathered, not the priors
+        inner = norms._blocks
+        blocks = []
 
         def counted(*args):
-            for group in inner(*args):
-                gathered.append(group[0])
-                yield group
+            blocks.extend(inner(*args))
+            return blocks
 
-        monkeypatch.setattr(norms, "_compact_groups", counted)
-        norms.sup_prior_norms(m, np.abs(rng.normal(size=50)), fam)
-        assert len(gathered) == 2 and sorted(sum(gathered, [])) == sorted(m.prior_labels)
+        monkeypatch.setattr(norms, "_blocks", counted)
+        norms.sup_prior_norms(m, abs_x, fam)
+        masses = [w for _, _, ws, _ in blocks for w in ws]
+        assert len(blocks) == len(masses) == m.n_priors
+        assert len(set(map(id, masses))) == 2
+        assert all(w.size < m.n_atoms for w in masses)
+        assert sorted(l for _, _, _, labels in blocks for [l] in labels) == sorted(m.prior_labels)
 
     def test_tail_membership_canonicalises_each_rung_once(self, monkeypatch):
         ladder = [gaussian_power_ladder(n, T=4.0, h=0.01) for n in (2, 3)]

@@ -15,7 +15,7 @@ from scipy import optimize
 
 from robust_orlicz import (AggregateOrlicz, CARAUtility, EssSupIndicator, Exponential,
                            LinearUtility, OrliczFamily, PiecewiseLinear, Power, Scaled,
-                           ScenarioModel, option_basis, project_onto_span, spanning)
+                           ScenarioModel, option_basis, project_onto_span)
 
 INF = math.inf
 
@@ -204,9 +204,14 @@ def test_groups_of_equal_phis():
     power, twin, other = Power(2.0), Power(2.0), Power(3.0)
     picky = RaisingEq(1.0)
     phis = [power, twin, picky, other, picky, RaisingEq(1.0), power]
-    groups = spanning._phi_groups(phis)
+    family = OrliczFamily({f"P{i}": phi for i, phi in enumerate(phis)})
+    groups: dict = {}
+    for i in range(len(phis)):
+        phi = family.phi(f"P{i}")
+        groups.setdefault(id(phi), (phi, []))[1].append(i)
+    groups = list(groups.values())
     assert groups == [(power, [0, 1, 6]), (picky, [2, 4]), (other, [3]), (phis[5], [5])]
-    assert groups[1][0] is picky and groups[3][0] is phis[5]
+    assert groups[0][0] is power and groups[1][0] is picky and groups[3][0] is phis[5]
 
 
 def _counting(monkeypatch, cls, names):

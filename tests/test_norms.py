@@ -263,3 +263,25 @@ class TestSinglePriorFastPaths:
         m = ScenarioModel(["a", "b"], [prior])
         slow = luxemburg_norm(m, x, OrliczFamily.uniform(m, phi)).value
         assert fast == pytest.approx(slow, rel=1e-9)
+
+
+class TestSinglePriorInputs:
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]])
+    def test_shape_other_than_the_prior(self, x):
+        prior = np.array([0.4, 0.6])
+        with pytest.raises(ValidationError, match="shape"):
+            single_prior_luxemburg(prior, Power(2), x)
+        with pytest.raises(ValidationError, match="shape"):
+            norms.single_prior_modular(prior, Power(2), np.abs(np.asarray(x)), 1.0)
+
+    def test_nan_variable(self):
+        prior = np.array([0.4, 0.6])
+        x = np.array([1.0, math.nan])
+        with pytest.raises(ValidationError, match="NaN"):
+            single_prior_luxemburg(prior, Power(2), x)
+        with pytest.raises(ValidationError, match="NaN"):
+            norms.single_prior_modular(prior, Power(2), x, 1.0)
+
+    def test_lists_are_accepted(self):
+        assert single_prior_luxemburg([0.5, 0.5], Power(1), [1.0, -3.0]) == pytest.approx(2.0)
+        assert norms.single_prior_modular([0.5, 0.5], Power(1), [1.0, 3.0], 2.0) == 1.0

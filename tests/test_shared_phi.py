@@ -1,6 +1,7 @@
-"""Priors that share an Orlicz function object and their compact atoms form
-a block: each phi evaluation at a scale is made once for the block, and
-every result stays bit-identical to the per-prior route."""
+"""Priors that share an Orlicz function (a family makes equal functions one
+object) and their compact atoms form a block: each phi evaluation at a
+scale is made once for the block, and every result stays bit-identical
+to the per-prior route."""
 
 import math
 import tracemalloc
@@ -92,10 +93,10 @@ def test_blocks_split_on_phi_and_support():
     blocks = [(id(ph), labels) for ph, _, _, labels in
               norms._blocks(m, np.array([1.0, 2.0, 3.0, 4.0]), fam)]
     # P1/P3 and P2/P5 are equal priors; P4 charges an atom the others do
-    # not; `other` equals phi but is another object, assigned once, so
-    # its block comes as soon as its prior does
-    assert blocks == [(id(other), [["P3"]]), (id(phi), [["P1"], ["P2", "P5"]]),
-                      (id(phi), [["P4"]])]
+    # not; `other` equals phi, so the family makes it phi and P3 joins
+    # phi's block
+    assert fam.phi("P3") is phi
+    assert blocks == [(id(phi), [["P1", "P3"], ["P2", "P5"]]), (id(phi), [["P4"]])]
 
 
 def test_lockstep_ladder_matches_each_prior_alone(rng):
@@ -104,16 +105,17 @@ def test_lockstep_ladder_matches_each_prior_alone(rng):
         y = rng.random(n) * rng.choice([1e-3, 1.0, 1e3])
         ws = [rng.dirichlet(np.ones(n)) for _ in range(int(rng.integers(1, 6)))]
         phi = SHARED_PHIS[int(rng.integers(0, len(SHARED_PHIS)))]
-        shared = norms._brackets(
-            lambda lam, idx: norms._modulars((ws[i] for i in idx), y, phi, lam), len(ws))
-        for w, got in zip(ws, shared):
-            ladder = norms._ladder()
-            lam = next(ladder)
-            try:
-                while True:
-                    lam = ladder.send(norms._compact_modular(w, y, phi, lam))
-            except StopIteration as done:
-                assert got == done.value
+        with np.errstate(over="ignore"):
+            shared = norms._brackets(
+                lambda lam, idx: norms._modulars((ws[i] for i in idx), y, phi, lam), len(ws))
+            for w, got in zip(ws, shared):
+                ladder = norms._ladder()
+                lam = next(ladder)
+                try:
+                    while True:
+                        lam = ladder.send(float(phi._eval_array(y / lam).dot(w)))
+                except StopIteration as done:
+                    assert got == done.value
 
 
 def _dirichlet_instance():
@@ -171,3 +173,37 @@ def test_no_prior_by_atom_temporaries(dirichlet):
     # phi evaluation) and a few hundred bytes per prior for the lockstep
     # ladders: a twelfth of what one array per prior would take
     assert peak < 16 * 8 * m.n_atoms < m.n_priors * 8 * m.n_atoms / 12
+
+
+class _Unhashable(Exponential):
+    __hash__ = None
+
+
+def test_family_makes_equal_functions_one_object():
+    a, b, c = Exponential(0.7), Exponential(0.7), Exponential(0.9)
+    loose, twin = _Unhashable(0.7), _Unhashable(0.7)
+    fam = OrliczFamily({"P1": a, "P2": b, "P3": c, "P4": loose, "P5": twin, "P6": a})
+    assert fam.phi("P1") is a and fam.phi("P2") is a and fam.phi("P6") is a
+    assert fam.phi("P3") is c
+    # an unhashable function stays its own object, equal or not
+    assert fam.phi("P4") is loose and fam.phi("P5") is twin
+    assert fam == OrliczFamily({"P1": b, "P2": a, "P3": c, "P4": loose, "P5": twin, "P6": b})
+
+
+def test_equal_json_specs_cost_what_one_object_costs(monkeypatch, rng):
+    # five priors, each given its own but equal `exponential` spec: the
+    # family makes them one object, so the kernel evaluates phi once per
+    # lam for all of them, as for `OrliczFamily.uniform`
+    from robust_orlicz.serialization import family_from_json, orlicz_from_json
+
+    spec = {"kind": "exponential", "beta": 0.8}
+    for _ in range(5):
+        m = _model_with_supports(rng, 12, 5)
+        x = _x_with_zeros(rng, 12)
+        per_prior = family_from_json({"per_prior": {l: dict(spec) for l in m.prior_labels}}, m)
+        uniform = OrliczFamily.uniform(m, orlicz_from_json(spec))
+        got, want = [], []
+        n_got = _count_evals(monkeypatch, lambda: got.append(luxemburg_norm(m, x, per_prior)))
+        n_want = _count_evals(monkeypatch, lambda: want.append(luxemburg_norm(m, x, uniform)))
+        assert got == want
+        assert n_got == n_want
