@@ -347,7 +347,7 @@ def mixture_witness(model: ScenarioModel, x, family: OrliczFamily,
         for phi, a, masses, labels in _blocks(model, abs_x, family):
             picked = [j for j, member in enumerate(labels) if not chosen.isdisjoint(member)]
             if picked:
-                values = _modulars((masses[j] for j in picked), a, phi, 1.0 / alpha)
+                values = _modulars((masses[j] for j in picked), a, phi, alpha)
                 for j, m in zip(picked, values):
                     mods.update(dict.fromkeys(labels[j], m))
     raw = np.zeros(model.n_atoms)

@@ -21,30 +21,41 @@ Priors with equal supports (`ScenarioModel.support_classes`) keep the
 same atoms for any X, so they share |X| on them; those that also share
 phi form a block (an `OrliczFamily` makes equal functions one object),
 and a prior with a phi of its own is a block of one. A block evaluates
-phi(|X| / lam) once per lam and takes one dot product with each prior's
-masses (`_modulars`): in the certificate's joint modular, in `modular`,
-and in the bracketing ladders of the single-prior root-finders, which
-run in lockstep over the block from lam = 1 (`_brackets`); the Illinois
-steps after them stay per prior. Each value and each dot product is the
-same arithmetic as for the prior alone, so per-prior norms, step counts,
-brackets and modulars are bit-identical to it. phi may overflow to inf:
-every caller of `_modulars` enters np.errstate(over="ignore") once
-around its evaluations, while the closed forms enter none. A block holds
-at most one phi evaluation; `_blocks` says how it gathers its masses.
+phi(|X| / lam) once per lam, as `phi._eval_scaled(|X|, 1 / lam)`, which
+folds 1 / lam into phi's own rates rather than dividing |X| by lam
+first, and takes one dot product with each prior's masses (`_modulars`):
+in the certificate's joint modular, in `modular`, and in the bracketing
+ladders of the single-prior root-finders, which run in lockstep over the
+block from lam = 1 (`_brackets`); the Illinois steps after them stay per
+prior. Each value and each dot product is the same arithmetic as for the
+prior alone, so per-prior norms, step counts, brackets and modulars are
+bit-identical to it. phi may overflow to inf: every caller of
+`_modulars` enters np.errstate(over="ignore") once around its
+evaluations, while the closed forms enter none. A block holds at most
+one phi evaluation; `_blocks` says how it gathers its masses.
+
+The blocks of a support class share max|X|, and on at least
+`_LOG_ROUTE_MIN_SIZE` atoms one `Magnitudes` view of |X|, so that
+log|X|, which the power closed forms read there, is taken at most once.
+The view changes no value, so `single_prior_luxemburg` stays
+bit-identical. The certificate evaluates phi itself and reads neither:
+it stays an independent check of the closed forms.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import (Callable, Dict, Generator, Iterable, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Generator, Iterable, Iterator, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 from .model import ScenarioModel, canonicalise, expectation
-from .orlicz import EssSupIndicator, OrliczFunction, Power, Scaled
+from .orlicz import (_LOG_ROUTE_MIN_SIZE, EssSupIndicator, Magnitudes, OrliczFunction, Power,
+                     Scaled)
 
 INF = math.inf
 
@@ -179,13 +190,13 @@ def _check_scale(lam: float) -> None:
 
 
 def _modulars(masses: Iterable[np.ndarray], a: np.ndarray, phi: OrliczFunction,
-              lam: float) -> list:
-    """sum w * phi(a / lam) for each w in `masses` (positive masses), from
-    one evaluation of phi(a / lam); phi >= 0, so a sum is inf exactly when
-    some phi(a / lam) is. phi may overflow to inf: the caller enters
-    np.errstate(over="ignore"). (values.dot(w) is the same BLAS dot as
-    np.dot(w, values), without its dispatch.)"""
-    values = phi._eval_array(a / lam)
+              s: float) -> list:
+    """sum w * phi(s a) for each w in `masses` (positive masses), from one
+    evaluation of phi(s a); the norm kernels pass s = 1 / lam. phi >= 0, so a
+    sum is inf exactly when some phi(s a) is. phi may overflow to inf: the
+    caller enters np.errstate(over="ignore"). (values.dot(w) is the same
+    BLAS dot as np.dot(w, values), without its dispatch.)"""
+    values = phi._eval_scaled(a, s)
     return list(map(float, map(values.dot, masses)))
 
 
@@ -204,14 +215,16 @@ class _Gathered:
 
 
 def _blocks(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamily,
-            first: Optional[str] = None) -> list:
+            first: Optional[str] = None) -> Iterator[tuple]:
     """(phi, a, masses, labels) per block: the priors of a support class
-    that share one phi object. a is |X| on the atoms they keep (those they
-    charge where |X| > 0), gathered once per class; masses[j] is the masses
-    there of the block's j-th group of equal priors and labels[j] the
-    labels of its members in the block. A group's masses are gathered once
-    and shared by its blocks; a block that spans several groups gathers
-    them on each access unless they keep every atom. With `first`, that
+    that share one phi object, a class's blocks one after another. a is
+    |X| on the atoms they keep (those they charge where |X| > 0), gathered
+    once per class; masses[j] is the masses there of the block's j-th
+    group of equal priors and labels[j] the labels of its members in the
+    block. A group in one block is gathered as that block comes, a group
+    in several once per class for all of them; a block that spans several
+    groups gathers them on each access unless they keep every atom. So
+    no more than a class's masses are held at once. With `first`, that
     prior's block comes first and its group first in the block."""
     labels, priors, groups, classes = (model.prior_labels, model.priors,
                                        model.prior_groups, model.support_classes)
@@ -223,7 +236,6 @@ def _blocks(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamily,
         classes = sorted(classes, key=lambda members: g not in members)
         classes[0] = (g,) + tuple(j for j in classes[0] if j != g)
     nonzero = abs_x > 0.0
-    out = []
     for members in classes:
         keep = (priors[groups[members[0]][0]] > 0.0) & nonzero
         if np.count_nonzero(keep) == keep.size:
@@ -234,19 +246,22 @@ def _blocks(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamily,
             for k in groups[j]:
                 phi = family.phi(labels[k])
                 found.setdefault(id(phi), (phi, {}))[1].setdefault(j, []).append(labels[k])
-        gathered: dict = {}  # group -> its masses on keep, shared by its blocks
+        if keep is not None and len(found) > 1:
+            blocks_of = Counter(j for _, names in found.values() for j in names)
+            gathered: dict = {}  # group in several blocks -> its masses on keep
         for phi, names in found.values():
-            if len(names) > 1:
-                ws = [priors[groups[j][0]] for j in names]
-                ws = ws if keep is None else _Gathered(ws, keep)
-            else:
+            ws = [priors[groups[j][0]] for j in names]
+            if keep is not None and len(ws) > 1:
+                ws = _Gathered(ws, keep)
+            elif keep is not None:
                 [j] = names
-                if j not in gathered:
-                    w = priors[groups[j][0]]
-                    gathered[j] = w if keep is None else w[keep]
-                ws = [gathered[j]]
-            out.append((phi, a, ws, list(names.values())))
-    return out
+                if len(found) == 1 or blocks_of[j] == 1:
+                    ws = [ws[0][keep]]
+                else:
+                    if j not in gathered:
+                        gathered[j] = ws[0][keep]
+                    ws = [gathered[j]]
+            yield phi, a, ws, list(names.values())
 
 
 def _single_prior_input(prior, x) -> tuple:
@@ -265,7 +280,7 @@ def single_prior_modular(prior: np.ndarray, phi: OrliczFunction,
     prior, abs_x = _single_prior_input(prior, abs_x)
     pos = prior > 0.0
     with np.errstate(over="ignore"):
-        return _modulars([prior[pos]], abs_x[pos], phi, lam)[0]
+        return _modulars([prior[pos]], abs_x[pos], phi, 1.0 / lam)[0]
 
 
 def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily) -> float:
@@ -277,7 +292,7 @@ def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily) -> float:
     best = 0.0
     with np.errstate(over="ignore"):
         for phi, a, masses, _ in _blocks(model, abs_x, family):
-            best = max(best, *_modulars(masses, a, phi, lam))
+            best = max(best, *_modulars(masses, a, phi, 1.0 / lam))
     return best
 
 
@@ -404,21 +419,21 @@ def _norm_bisection(mod: Callable[[float], float], tol: float,
     return 0.5 * (lo + hi), (lo, hi), it
 
 
-def _block_norms(masses: Sequence[np.ndarray], a: np.ndarray, phi: OrliczFunction,
-                 tol: float, max_iter: int) -> list:
+def _block_norms(masses: Sequence[np.ndarray], a: np.ndarray, top: float,
+                 phi: OrliczFunction, tol: float, max_iter: int) -> list:
     """(norm, root-finder steps) of |X| under each prior of a block: a is
-    |X| on the block's atoms (atoms where X is 0 may be left out) and
-    masses[j] prior j's positive masses there. The priors share phi, so
-    the root-finders' ladders run in lockstep with one phi evaluation per
-    lam (`_brackets`); each then narrows its own bracket."""
-    top = float(a.max()) if a.size else 0.0
+    |X| on the block's atoms (atoms where X is 0 may be left out), maybe
+    as the `Magnitudes` view its support class shares, top its max (0 for
+    no atoms), and masses[j] prior j's positive masses there. The priors
+    share phi, so the root-finders' ladders run in lockstep with one phi
+    evaluation per lam (`_brackets`); each then narrows its own bracket."""
     if top == INF or top == 0.0:
         return [(top, 0)] * len(masses)
     degree = phi.homogeneity_degree
     # |X|**degree would leave the float range: take the closed form of
     # |X| / max|X| and scale back (exact by homogeneity)
     rescale = degree is not None and degree < INF and abs(degree * math.log2(top)) > _EXP_RANGE
-    y = a / top if rescale else None
+    y = np.asarray(a) / top if rescale else None
     out, pending = [], []
     for j, w in enumerate(masses):
         value = top * phi.luxemburg_closed_form(w, y) if rescale else phi.luxemburg_closed_form(w, a)
@@ -427,17 +442,18 @@ def _block_norms(masses: Sequence[np.ndarray], a: np.ndarray, phi: OrliczFunctio
             pending.append(j)
     if pending:
         if y is None:
-            y = a / top
+            y = np.asarray(a) / top
         # one error state for every step of the root-finders
         with np.errstate(over="ignore"):
             # a block of one runs its ladder in `_norm_bisection`
             starts = [None] if len(pending) == 1 else _brackets(
-                lambda lam, idx: _modulars((masses[pending[i]] for i in idx), y, phi, lam),
+                lambda lam, idx: _modulars((masses[pending[i]] for i in idx), y, phi, 1.0 / lam),
                 len(pending))
             for j, start in zip(pending, starts):
                 w = masses[j]
                 lam, _, steps = _norm_bisection(
-                    lambda lam: float(phi._eval_array(y / lam).dot(w)), tol / 2.0, max_iter, start)
+                    lambda lam: float(phi._eval_scaled(y, 1.0 / lam).dot(w)), tol / 2.0, max_iter,
+                    start)
                 out[j] = (top * lam, steps)
     # a nonzero |X| has a positive norm, though its value may underflow
     return [(max(value, math.ulp(0.0)), steps) for value, steps in out]
@@ -458,7 +474,9 @@ def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
     _check_tol(tol, max_iter)
     prior, x = _single_prior_input(prior, x)
     pos = prior > 0.0
-    [(value, steps)] = _block_norms([prior[pos]], np.abs(x[pos]), phi, tol, max_iter)
+    abs_x = np.abs(x[pos])
+    top = float(abs_x.max()) if abs_x.size else 0.0
+    [(value, steps)] = _block_norms([prior[pos]], abs_x, top, phi, tol, max_iter)
     return (value, steps) if with_steps else value
 
 
@@ -469,8 +487,15 @@ def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamil
     norms, and the root-finder steps of the prior attaining the sup."""
     _check_tol(tol, max_iter)
     found: Dict[str, Tuple[float, int]] = {}
+    seen = shared = None
     for phi, a, masses, labels in _blocks(model, abs_x, family):
-        for member, result in zip(labels, _block_norms(masses, a, phi, tol, max_iter)):
+        if a is not seen:
+            # a support class's first block: its blocks share max|X| and,
+            # through a view where the shared pass outweighs the view's
+            # cost, log|X|
+            seen, top = a, float(a.max()) if a.size else 0.0
+            shared = a.view(Magnitudes) if a.size >= _LOG_ROUTE_MIN_SIZE else a
+        for member, result in zip(labels, _block_norms(masses, shared, top, phi, tol, max_iter)):
             for label in member:
                 found[label] = result
     per_prior: Dict[str, float] = {}
@@ -501,11 +526,11 @@ def _certify(model: ScenarioModel, abs_x: np.ndarray, value: float, delta: float
         with np.errstate(over="ignore"):
             for phi, a, masses, labels in _blocks(model, abs_x, family, first):
                 if hi is not None:
-                    for member, m in zip(labels, _modulars(masses, a, phi, hi)):
+                    for member, m in zip(labels, _modulars(masses, a, phi, 1.0 / hi)):
                         for label in member:
                             at_hi = max(at_hi, m - offsets[label])
                 if lo is not None and not at_lo > 1.0:
-                    values = phi._eval_array(a / lo)
+                    values = phi._eval_scaled(a, 1.0 / lo)
                     for member, w in zip(labels, masses):
                         m = float(values.dot(w))
                         for label in member:

@@ -11,13 +11,21 @@ callers own numpy's error state. The base class's entry points that
 evaluate phi (`__call__`, the numeric conjugate and derivative, the
 domain-bound norm) each enter `np.errstate(over="ignore")` themselves;
 the norm kernels enter it once per call around all their evaluations.
+
+The norm kernels evaluate phi(|X| / lam) as `_eval_scaled(|X|, 1 /
+lam)`, into which the stock classes fold 1 / lam with their own rates,
+so that each lam costs one pass over |X| less than dividing first. The
+power closed form takes x**p as exp(p log x) on at least
+`_LOG_ROUTE_MIN_SIZE` atoms, reading log x from a `Magnitudes` view,
+which computes it once for every closed form handed the same view: the
+kernels hand one view per support class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +37,9 @@ INF = math.inf
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _BRACKET_CAP = 2.0 ** 1023
+
+# the fewest atoms on which the power closed form takes exp(p log x)
+_LOG_ROUTE_MIN_SIZE = 1024
 
 # a few ulps below 1: where phi* jumps to inf at the minimiser k, the
 # rounding of k z (and of Scaled's rescaling) can step past the jump,
@@ -44,6 +55,31 @@ def _toward_infinity(level: float, limit: float) -> np.ndarray:
     return np.array([min(2.0 ** 60 * level / limit, 2.0 ** 1000)])
 
 
+class Magnitudes(np.ndarray):
+    """A view of an array of |X| >= 0, not all 0, that keeps its log once
+    computed (`log_of`), so that every closed form handed the same view
+    shares one log pass; arrays computed from the view keep nothing."""
+
+    _log = None
+
+    @staticmethod
+    def log_of(abs_x: np.ndarray) -> Tuple[int, np.ndarray]:
+        """(e, log(abs_x / 2**e)), -inf at 0, with 2**e just above max
+        abs_x (or 2**-1021 below a subnormal max): the scaling is exact,
+        so the log of the largest entries is exact to a few ulp at any
+        scale, where log abs_x would be off by about |log abs_x| ulp."""
+        shared = isinstance(abs_x, Magnitudes)
+        if shared and abs_x._log is not None:
+            return abs_x._log
+        values = np.asarray(abs_x)
+        e = max(math.frexp(float(values.max()))[1], -1021)
+        with np.errstate(divide="ignore"):
+            log = e, np.log(values * math.ldexp(1.0, -e))
+        if shared:
+            abs_x._log = log
+        return log
+
+
 @dataclass(frozen=True)
 class AffineMinorant:
     """A line a*x + b with a > 0, b <= 0 lying below an Orlicz function."""
@@ -57,6 +93,10 @@ class AffineMinorant:
 
 class OrliczFunction:
     """Base class. Subclasses implement `_eval_array` and `domain_bound`.
+
+    `_eval_scaled(x, s)` is phi(s x), the form the norm kernels evaluate;
+    its fallback here is `_eval_array(x * s)`, and a class overrides it
+    where it can fold s into a rate of its own.
 
     `conjugate_array` (phi*) and `derivative_array` (right derivative)
     have numeric fallbacks here, overridden by closed forms where those
@@ -85,10 +125,15 @@ class OrliczFunction:
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _eval_scaled(self, x: np.ndarray, s: float) -> np.ndarray:
+        """phi(s x) for a finite s > 0; raw, like `_eval_array`."""
+        return self._eval_array(x if s == 1.0 else x * s)
+
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
         """inf{lam > 0 : sum weights * phi(abs_x / lam) <= 1} in closed
         form, or None; `weights` are a prior's positive masses and abs_x
-        is not all 0.
+        is not all 0. abs_x may be a `Magnitudes` view, to be read as an
+        array (and through `Magnitudes.log_of`).
 
         The fallback covers a finite domain bound b: below max abs_x / b
         some abs_x / lam lies past b, where phi is inf, so that is the
@@ -323,7 +368,15 @@ class Power(OrliczFunction):
         return x ** self.p
 
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
-        return float(np.dot(weights, abs_x ** self.p) ** (1.0 / self.p))
+        # (abs_x / 2**e)**p as exp(p log(abs_x / 2**e)) shares the log
+        # with every power on the same `Magnitudes`; below
+        # _LOG_ROUTE_MIN_SIZE atoms one pow pass costs less than the log
+        # route's calls, and numpy copies or squares for p = 1, 2
+        if self.p in (1.0, 2.0) or abs_x.size < _LOG_ROUTE_MIN_SIZE:
+            return float(np.dot(weights, np.asarray(abs_x) ** self.p) ** (1.0 / self.p))
+        e, log = Magnitudes.log_of(abs_x)
+        powers = self.p * log
+        return math.ldexp(float(np.dot(weights, np.exp(powers, out=powers)) ** (1.0 / self.p)), e)
 
     def affine_pieces(self):
         return ((1.0,), (0.0,), INF) if self.p == 1.0 else None
@@ -374,6 +427,14 @@ class Exponential(OrliczFunction):
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         return np.expm1(self.beta * x)
 
+    def _eval_scaled(self, x: np.ndarray, s: float) -> np.ndarray:
+        rate = self.beta * s
+        if not 0.0 < rate < INF:
+            # x * rate would be 0 * inf at x = 0 or at x = inf
+            return super()._eval_scaled(x, s)
+        t = x * rate
+        return np.expm1(t, out=t)
+
     def conjugate_array(self, y: np.ndarray) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -409,6 +470,10 @@ class EssSupIndicator(OrliczFunction):
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         return np.where(x <= 1.0, 0.0, INF)
+
+    def _eval_scaled(self, x: np.ndarray, s: float) -> np.ndarray:
+        bound = 1.0 / s
+        return np.where(x <= bound, 0.0, INF) if bound < INF else super()._eval_scaled(x, s)
 
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
         return float(np.max(abs_x))
@@ -578,6 +643,12 @@ class Scaled(OrliczFunction):
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         return self.inner._eval_array(self.theta * x) / self.one_plus_gamma
+
+    def _eval_scaled(self, x: np.ndarray, s: float) -> np.ndarray:
+        theta = self.theta * s
+        if not 0.0 < theta < INF:
+            return super()._eval_scaled(x, s)
+        return self.inner._eval_scaled(x, theta) / self.one_plus_gamma
 
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
         # dividing a degree-d function by c divides its norm by c**(1/d)

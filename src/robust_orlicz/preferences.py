@@ -223,6 +223,7 @@ class AggregateOrlicz(OrliczFunction):
     _slope: float = field(init=False, repr=False, compare=False)
     _cara: tuple = field(init=False, repr=False, compare=False)
     _losses: tuple = field(init=False, repr=False, compare=False)
+    _rate_range: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, terms: Sequence[Tuple[Utility, float]]):
         terms = tuple((u, float(d)) for u, d in terms)
@@ -237,6 +238,8 @@ class AggregateOrlicz(OrliczFunction):
             (u.scale / d, u.beta) for u, d in terms if isinstance(u, CARAUtility)))
         object.__setattr__(self, "_losses", tuple(
             u.loss(d) for u, d in terms if not isinstance(u, (LinearUtility, CARAUtility))))
+        rates = [beta for _, beta in self._cara] + [self._slope] * bool(self._slope)
+        object.__setattr__(self, "_rate_range", (min(rates, default=1.0), max(rates, default=1.0)))
 
     @property
     def domain_bound(self) -> float:
@@ -247,13 +250,21 @@ class AggregateOrlicz(OrliczFunction):
         return max(u.asymptotic_slope / d for u, d in self.terms)
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
+        return self._eval_scaled(x, 1.0)
+
+    def _eval_scaled(self, x: np.ndarray, s: float) -> np.ndarray:
+        # s folds into the slope and the CARA rates, unless one of them
+        # would leave the float range (0 * inf at x = 0 or x = inf)
+        low, high = self._rate_range
+        if not (low * s > 0.0 and high * s < INF):
+            x, s = x * s, 1.0
         # every part is >= 0 on x >= 0; without a linear part the max
         # starts from 0 rather than from 0 x, which is NaN at x = inf
-        out = self._slope * x if self._slope else 0.0
+        out = (self._slope * s) * x if self._slope else 0.0
         for c, beta in self._cara:
-            out = np.maximum(out, c * np.expm1(beta * x))
+            out = np.maximum(out, c * np.expm1((beta * s) * x))
         for loss in self._losses:
-            out = np.maximum(out, loss._eval_array(x))
+            out = np.maximum(out, loss._eval_scaled(x, s))
         return out
 
     def derivative_array(self, x: np.ndarray) -> np.ndarray:

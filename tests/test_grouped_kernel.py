@@ -2,6 +2,7 @@
 is 0 left out, and the same results as the per-prior route."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,14 +93,14 @@ class TestGroupedKernel:
         rng = np.random.default_rng(3)
         prior = rng.dirichlet(np.ones(2000))
         x = rng.normal(size=2000)
-        inner = Exponential._eval_array
+        inner = Exponential._eval_scaled
         calls = []
 
         def counted(*args):
             calls.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(Exponential, "_eval_array", counted)
+        monkeypatch.setattr(Exponential, "_eval_scaled", counted)
         value, steps = single_prior_luxemburg(prior, Exponential(beta), x, with_steps=True)
         assert steps > 0
         assert 0 < len(calls) <= 12
@@ -125,6 +126,25 @@ class TestGroupedKernel:
         assert len(set(map(id, masses))) == 2
         assert all(w.size < m.n_atoms for w in masses)
         assert sorted(l for _, _, _, labels in blocks for [l] in labels) == sorted(m.prior_labels)
+
+    def test_a_phi_per_prior_gathers_one_group_at_a_time(self):
+        # 200 distinct Dirichlet priors x 2 000 atoms with a phi of its own
+        # each, and every tenth X zero: 200 groups of one block each, whose
+        # masses on the kept atoms would take 2.9 MB held all at once
+        rng = np.random.default_rng([901, sum(map(ord, "large-models"))])
+        m = ScenarioModel([f"w{i}" for i in range(2000)],
+                          rng.dirichlet(np.ones(2000), size=200))
+        fam = OrliczFamily({l: Exponential(0.5 + 0.01 * i) for i, l in enumerate(m.prior_labels)})
+        x = rng.normal(size=2000)
+        x[::10] = 0.0
+        luxemburg_norm(m, x, fam)
+        tracemalloc.start()
+        try:
+            luxemburg_norm(m, x, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400 * 1024
 
     def test_tail_membership_canonicalises_each_rung_once(self, monkeypatch):
         ladder = [gaussian_power_ladder(n, T=4.0, h=0.01) for n in (2, 3)]

@@ -107,13 +107,14 @@ def test_lockstep_ladder_matches_each_prior_alone(rng):
         phi = SHARED_PHIS[int(rng.integers(0, len(SHARED_PHIS)))]
         with np.errstate(over="ignore"):
             shared = norms._brackets(
-                lambda lam, idx: norms._modulars((ws[i] for i in idx), y, phi, lam), len(ws))
+                lambda lam, idx: norms._modulars((ws[i] for i in idx), y, phi, 1.0 / lam),
+                len(ws))
             for w, got in zip(ws, shared):
                 ladder = norms._ladder()
                 lam = next(ladder)
                 try:
                     while True:
-                        lam = ladder.send(float(phi._eval_array(y / lam).dot(w)))
+                        lam = ladder.send(float(phi._eval_scaled(y, 1.0 / lam).dot(w)))
                 except StopIteration as done:
                     assert got == done.value
 
@@ -135,14 +136,14 @@ def dirichlet():
 
 
 def _count_evals(monkeypatch, fn):
-    inner = Exponential._eval_array
+    inner = Exponential._eval_scaled
     calls = []
 
-    def counted(self, z):
+    def counted(self, z, s):
         calls.append(z.size)
-        return inner(self, z)
+        return inner(self, z, s)
 
-    monkeypatch.setattr(Exponential, "_eval_array", counted)
+    monkeypatch.setattr(Exponential, "_eval_scaled", counted)
     fn()
     monkeypatch.undo()
     return len(calls)
