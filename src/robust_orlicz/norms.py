@@ -34,12 +34,14 @@ bit-identical to it. phi may overflow to inf: every caller of
 evaluations, while the closed forms enter none. A block holds at most
 one phi evaluation; `_blocks` says how it gathers its masses.
 
-The blocks of a support class share max|X|, and on at least
-`_LOG_ROUTE_MIN_SIZE` atoms one `Magnitudes` view of |X|, so that
-log|X|, which the power closed forms read there, is taken at most once.
-The view changes no value, so `single_prior_luxemburg` stays
-bit-identical. The certificate evaluates phi itself and reads neither:
-it stays an independent check of the closed forms.
+The blocks of a support class share max|X|, and those whose closed form
+may read log|X| (`Power`, `Scaled(Power)`: `_reads_log`) one `Magnitudes`
+view of |X| where the power closed forms read the log (on at least
+1 024 atoms), so that it is taken at most once per class; other closed
+forms get the plain array. The view changes no value, so
+`single_prior_luxemburg` stays bit-identical. The certificate evaluates
+phi itself and reads neither: it stays an independent check of the
+closed forms.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 from .model import ScenarioModel, canonicalise, expectation
-from .orlicz import (_LOG_ROUTE_MIN_SIZE, EssSupIndicator, Magnitudes, OrliczFunction, Power,
-                     Scaled)
+from .orlicz import EssSupIndicator, Magnitudes, OrliczFunction, Power, Scaled
 
 INF = math.inf
 
@@ -423,10 +424,11 @@ def _block_norms(masses: Sequence[np.ndarray], a: np.ndarray, top: float,
                  phi: OrliczFunction, tol: float, max_iter: int) -> list:
     """(norm, root-finder steps) of |X| under each prior of a block: a is
     |X| on the block's atoms (atoms where X is 0 may be left out), maybe
-    as the `Magnitudes` view its support class shares, top its max (0 for
-    no atoms), and masses[j] prior j's positive masses there. The priors
-    share phi, so the root-finders' ladders run in lockstep with one phi
-    evaluation per lam (`_brackets`); each then narrows its own bracket."""
+    as the `Magnitudes` view its support class shares where phi
+    `_reads_log`, top its max (0 for no atoms), and masses[j] prior j's
+    positive masses there. The priors share phi, so the root-finders'
+    ladders run in lockstep with one phi evaluation per lam (`_brackets`);
+    each then narrows its own bracket."""
     if top == INF or top == 0.0:
         return [(top, 0)] * len(masses)
     degree = phi.homogeneity_degree
@@ -487,15 +489,16 @@ def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamil
     norms, and the root-finder steps of the prior attaining the sup."""
     _check_tol(tol, max_iter)
     found: Dict[str, Tuple[float, int]] = {}
-    seen = shared = None
+    seen = None
     for phi, a, masses, labels in _blocks(model, abs_x, family):
         if a is not seen:
-            # a support class's first block: its blocks share max|X| and,
-            # through a view where the shared pass outweighs the view's
-            # cost, log|X|
-            seen, top = a, float(a.max()) if a.size else 0.0
-            shared = a.view(Magnitudes) if a.size >= _LOG_ROUTE_MIN_SIZE else a
-        for member, result in zip(labels, _block_norms(masses, shared, top, phi, tol, max_iter)):
+            # a support class's first block: its blocks share max|X|, and
+            # those whose closed form reads log|X| one view that keeps it
+            seen, view, top = a, None, float(a.max()) if a.size else 0.0
+        if phi._reads_log and view is None:
+            view = Magnitudes.shared(a)
+        results = _block_norms(masses, view if phi._reads_log else a, top, phi, tol, max_iter)
+        for member, result in zip(labels, results):
             for label in member:
                 found[label] = result
     per_prior: Dict[str, float] = {}

@@ -16,9 +16,10 @@ The norm kernels evaluate phi(|X| / lam) as `_eval_scaled(|X|, 1 /
 lam)`, into which the stock classes fold 1 / lam with their own rates,
 so that each lam costs one pass over |X| less than dividing first. The
 power closed form takes x**p as exp(p log x) on at least
-`_LOG_ROUTE_MIN_SIZE` atoms, reading log x from a `Magnitudes` view,
-which computes it once for every closed form handed the same view: the
-kernels hand one view per support class.
+`_LOG_ROUTE_MIN_SIZE` atoms, reading log x through `Magnitudes.log_of`;
+there the kernels hand a closed form that may do so (`_reads_log`) one
+`Magnitudes` view per support class, which keeps the log once computed,
+so the class's power closed forms share one log pass.
 """
 
 from __future__ import annotations
@@ -61,6 +62,13 @@ class Magnitudes(np.ndarray):
     shares one log pass; arrays computed from the view keep nothing."""
 
     _log = None
+
+    @staticmethod
+    def shared(abs_x: np.ndarray) -> np.ndarray:
+        """The array to hand every closed form of a support class that
+        `_reads_log`: a view on at least `_LOG_ROUTE_MIN_SIZE` atoms,
+        where the power closed form reads the log, else abs_x itself."""
+        return abs_x.view(Magnitudes) if abs_x.size >= _LOG_ROUTE_MIN_SIZE else abs_x
 
     @staticmethod
     def log_of(abs_x: np.ndarray) -> Tuple[int, np.ndarray]:
@@ -117,6 +125,11 @@ class OrliczFunction:
     #: known; phi* is infinite above it
     asymptotic_slope: Optional[float] = None
 
+    # whether `luxemburg_closed_form` may read abs_x through
+    # `Magnitudes.log_of`: the kernels then hand it the view
+    # (`Magnitudes.shared`) that the blocks of a support class share
+    _reads_log = False
+
     @property
     def domain_bound(self) -> float:
         """Supremum of {x : phi(x) < inf}."""
@@ -132,8 +145,9 @@ class OrliczFunction:
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
         """inf{lam > 0 : sum weights * phi(abs_x / lam) <= 1} in closed
         form, or None; `weights` are a prior's positive masses and abs_x
-        is not all 0. abs_x may be a `Magnitudes` view, to be read as an
-        array (and through `Magnitudes.log_of`).
+        is not all 0. abs_x is a `Magnitudes` view only where
+        `_reads_log` is set, to be read as an array (and through
+        `Magnitudes.log_of`).
 
         The fallback covers a finite domain bound b: below max abs_x / b
         some abs_x / lam lies past b, where phi is inf, so that is the
@@ -352,6 +366,8 @@ class Power(OrliczFunction):
 
     p: float
 
+    _reads_log = True
+
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p >= 1.0):
             raise ValidationError("Power exponent must be finite with p >= 1")
@@ -369,10 +385,11 @@ class Power(OrliczFunction):
 
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
         # (abs_x / 2**e)**p as exp(p log(abs_x / 2**e)) shares the log
-        # with every power on the same `Magnitudes`; below
-        # _LOG_ROUTE_MIN_SIZE atoms one pow pass costs less than the log
-        # route's calls, and numpy copies or squares for p = 1, 2
-        if self.p in (1.0, 2.0) or abs_x.size < _LOG_ROUTE_MIN_SIZE:
+        # with every power on the same `Magnitudes`. Measured (BENCH_20.json,
+        # "power_closed_form_crossover"): from 1 024 atoms on, the shared
+        # route costs less than numpy's power once a class has about five
+        # power closed forms (a ladder has dozens), under 512 atoms never
+        if abs_x.size < _LOG_ROUTE_MIN_SIZE:
             return float(np.dot(weights, np.asarray(abs_x) ** self.p) ** (1.0 / self.p))
         e, log = Magnitudes.log_of(abs_x)
         powers = self.p * log
@@ -470,10 +487,6 @@ class EssSupIndicator(OrliczFunction):
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         return np.where(x <= 1.0, 0.0, INF)
-
-    def _eval_scaled(self, x: np.ndarray, s: float) -> np.ndarray:
-        bound = 1.0 / s
-        return np.where(x <= bound, 0.0, INF) if bound < INF else super()._eval_scaled(x, s)
 
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
         return float(np.max(abs_x))
@@ -640,6 +653,10 @@ class Scaled(OrliczFunction):
     @property
     def homogeneity_degree(self) -> Optional[float]:
         return self.inner.homogeneity_degree
+
+    @property
+    def _reads_log(self) -> bool:
+        return self.inner._reads_log
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         return self.inner._eval_array(self.theta * x) / self.one_plus_gamma

@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from robust_orlicz import (ConsistencyError, OrliczFamily, Power, Scaled, ScenarioModel,
-                           gaussian_power_ladder, luxemburg_norm, single_prior_luxemburg)
+from robust_orlicz import (ConsistencyError, Exponential, OrliczFamily, OrliczFunction,
+                           PiecewiseLinear, Power, Scaled, ScenarioModel, gaussian_power_ladder,
+                           luxemburg_norm, single_prior_luxemburg)
 from robust_orlicz.orlicz import _LOG_ROUTE_MIN_SIZE, Magnitudes
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -91,8 +92,30 @@ def test_one_log_per_support_class(monkeypatch):
 
     monkeypatch.setattr(Magnitudes, "log_of", staticmethod(counted))
     luxemburg_norm(t.model, t.x, t.family)
-    # twelve power closed forms (p = 1, 2 take numpy's own powers) on one log
+    # every power closed form of the ladder on one log
     assert computed == [t.model.n_atoms]
+
+
+@pytest.mark.parametrize("n", [12, N])
+def test_view_only_for_closed_forms_that_read_the_log(monkeypatch, rng, n):
+    m = ScenarioModel([f"w{i}" for i in range(n)], [rng.dirichlet(np.ones(n)) for _ in range(5)])
+    fam = OrliczFamily({"P1": Power(3.0), "P2": Scaled(Power(1.5), 2.0, 1.5),
+                        "P3": Exponential(0.7), "P4": PiecewiseLinear([0.5], [1.0], bound=40.0),
+                        "P5": Power(1.0)})
+    seen = {}
+    for cls in (Power, Scaled, OrliczFunction):
+        inner = cls.luxemburg_closed_form
+
+        def spy(self, w, abs_x, inner=inner):
+            seen.setdefault(type(self).__name__, set()).add(type(abs_x))
+            return inner(self, w, abs_x)
+
+        monkeypatch.setattr(cls, "luxemburg_closed_form", spy)
+    luxemburg_norm(m, np.exp(rng.normal(size=n)), fam)
+    # a view only on a class where the power closed form reads the log
+    power = Magnitudes if n >= _LOG_ROUTE_MIN_SIZE else np.ndarray
+    assert seen == {"Power": {power}, "Scaled": {power}, "Exponential": {np.ndarray},
+                    "PiecewiseLinear": {np.ndarray}}
 
 
 def test_log_of_zero_is_quiet():

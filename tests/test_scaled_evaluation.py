@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from robust_orlicz import (EssSupIndicator, Exponential, OrliczFamily, OrliczFunction,
-                           PiecewiseLinear, Power, Scaled, ScenarioModel, luxemburg_norm,
+                           PiecewiseLinear, Power, Scaled, ScenarioModel, luxemburg_norm, modular,
                            single_prior_luxemburg)
+from robust_orlicz.norms import single_prior_modular
 from robust_orlicz.preferences import (AggregateOrlicz, CARAUtility, LinearUtility,
                                        PiecewiseLinearUtility)
 
@@ -62,6 +63,22 @@ def test_scaled_evaluation_is_inf_past_the_domain_bound(phi):
         s = 2.0 ** k * 1.37
         inside, past = phi._eval_scaled(np.array([0.0, bound / s * (1 - 1e-9), bound / s * (1 + 1e-9)]), s)[1:]
         assert inside < INF and past == INF
+
+
+def test_ess_sup_modular_is_zero_at_the_ess_sup(rng):
+    # x * (1 / lam) <= 1 for every x <= lam, whatever lam's last bits (1 /
+    # (1 / lam) may round below lam): the modular at lam = max|X| is 0
+    ess = EssSupIndicator()
+    for _ in range(400):
+        n = int(rng.integers(1, 10))
+        m = ScenarioModel([f"w{i}" for i in range(n)],
+                          [rng.dirichlet(np.ones(n)) for _ in range(2)])
+        x = rng.normal(size=n) * 2.0 ** float(rng.uniform(-60.0, 60.0))
+        abs_x = np.abs(x)
+        lam = float(np.max(abs_x))
+        assert modular(m, x, lam, OrliczFamily.uniform(m, ess)) == 0.0
+        assert single_prior_modular(m.priors[0], ess, abs_x, lam) == 0.0
+        assert single_prior_modular(m.priors[0], ess, abs_x, lam * (1.0 - 1e-12)) == INF
 
 
 @pytest.mark.parametrize("phi", [Exponential(0.8), Scaled(Exponential(1.3), 0.7, 1.5),
