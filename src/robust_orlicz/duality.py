@@ -9,7 +9,8 @@ uses phi*. The cross-check between them is the module's main oracle.
 The conjugate route takes the k that minimise the objective from phi's
 `conjugate_minimisers`, a closed form on `Power`, `Exponential`,
 `PiecewiseLinear`, `EssSupIndicator` and `Scaled` of these, and
-evaluates the objective there with one `conjugate_array` call. Classes
+evaluates the objective there with one `conjugate_array` call, or takes
+its limit b E_P[Z] as k -> inf (b the domain bound) with none. Classes
 without that closed form (`AggregateOrlicz`) fall back to a batched
 bracket search on t = log2 k over [-80, min(80 + log2(1/p), 1023)], p
 the smallest prior mass that mu charges: each round evaluates the
@@ -19,7 +20,7 @@ neighbours of the best point bracket the next round, until the bracket
 is 1e-14 wide relative to |t|. The objective is quasiconvex in k, so the
 bracket keeps the minimiser. On either route every evaluated value is an
 upper bound on the dual norm (Young's inequality), and the smallest one
-is returned.
+is returned; the limit is the infimum, an upper bound only up to rounding.
 
 The definition route ("brute") maximises mu s subject to
 sum_j P_j phi(s_j) <= 1 and s >= 0 on the atoms mu charges, in
@@ -106,12 +107,14 @@ def _dual_norm_conjugate(m: np.ndarray, prior: np.ndarray,
     # G(k) = E_P[phi*(kZ)] is convex in k with G(0) = 0, and (1 + G(k))/k
     # is quasiconvex: its stationarity condition k G'(k) - G(k) = 1 has a
     # nondecreasing left side. phi's class supplies the k where it holds
-    # (or k -> inf is approached); without them, a search brackets one.
-    # Young's inequality makes every value >= sup{mu|X| : ||X|| <= 1}. The
-    # norm is positively homogeneous in mu, so k is found for Z / max Z,
-    # where it does not depend on the scale of mu, and the value scales
-    # back; Z is formed from mu / max mu, so that it overflows only where
-    # a prior mass is subnormal, and inf is then the (trivial) upper bound.
+    # (or [inf], where the value is the limit b E_P[Z] as k -> inf, b the
+    # domain bound); without them, a search brackets one. Young's
+    # inequality makes every value >= sup{mu|X| : ||X|| <= 1}, the limit
+    # up to its rounding. The norm is positively homogeneous in mu, so k
+    # is found for Z / max Z, where it does not depend on the scale of mu,
+    # and the value scales back; Z is formed from mu / max mu, so that it
+    # overflows only where a prior mass is subnormal, and inf is then the
+    # (trivial) upper bound.
     # One overflow state covers Z and every evaluation of the objective.
     pos = prior > 0.0
     w = prior[pos]
@@ -123,7 +126,12 @@ def _dual_norm_conjugate(m: np.ndarray, prior: np.ndarray,
             return INF
         z /= z_top
         k = phi.conjugate_minimisers(w, z)
-        best = _bracket_search(w, z, phi) if k is None else float(_objective(w, z, phi, k).min())
+        if k is None:
+            best = _bracket_search(w, z, phi)
+        elif k[0] == INF:  # phi*(k z) / k -> b z
+            best = phi.domain_bound * float(np.dot(w, z))
+        else:
+            best = float(_objective(w, z, phi, k).min())
     return top * (z_top * best)
 
 

@@ -7,7 +7,10 @@ log(lam) to a relative width tol / 2 (the modular is monotone in lam but
 may jump or vanish, as at a domain bound or below a first breakpoint, so
 every step stays inside a bracket and falls back to the geometric
 midpoint), and certified on the joint modular at the two ends of a small
-bracket.
+bracket. Every single-prior norm is taken on y = |X| / max|X| and scaled
+back by max|X| (`_unit`; exact, as ||c X|| = c ||X|| for every phi), so
+closed forms and root-finders read values in (0, 1] at any scale of X;
+the certificate and `modular` evaluate phi on |X| itself.
 
 The model-level kernels (`sup_prior_norms`, the certificate, `modular`)
 work on the atoms a prior charges where X is nonzero. Atoms where X is 0
@@ -34,14 +37,14 @@ bit-identical to it. phi may overflow to inf: every caller of
 evaluations, while the closed forms enter none. A block holds at most
 one phi evaluation; `_blocks` says how it gathers its masses.
 
-The blocks of a support class share max|X|, and those whose closed form
-may read log|X| (`Power`, `Scaled(Power)`: `_reads_log`) one `Magnitudes`
-view of |X| where the power closed forms read the log (on at least
-1 024 atoms), so that it is taken at most once per class; other closed
-forms get the plain array. The view changes no value, so
+The blocks of a support class share max|X| and y, and those whose
+closed form may read log y (`Power`, `Scaled(Power)`: `_reads_log`) one
+`Magnitudes` view of y where the power closed forms read the log (on at
+least 1 024 atoms), so that it is taken at most once per class; other
+closed forms get the plain array. The view changes no value, so
 `single_prior_luxemburg` stays bit-identical. The certificate evaluates
-phi itself and reads neither: it stays an independent check of the
-closed forms.
+phi on |X| itself and reads neither: it stays an independent check of
+the closed forms and the scale rule.
 """
 
 from __future__ import annotations
@@ -64,9 +67,6 @@ DEFAULT_TOL = 1e-10
 MAX_ITER = 200
 _LAMBDA_CAP = 2.0 ** 1023
 _LAMBDA_FLOOR = 1e-300
-# |log2| of the magnitudes a closed form may raise |X| to: past it, the
-# closed form is taken on |X| / max|X| (2**1000 is inside the float range)
-_EXP_RANGE = 1000.0
 # half-width of the certified bracket in units of tol * max(1, value): the
 # single-prior norms are within tol / 4 of theirs, so its ends straddle
 # the norm with a margin, and it is narrower than tol
@@ -420,31 +420,27 @@ def _norm_bisection(mod: Callable[[float], float], tol: float,
     return 0.5 * (lo + hi), (lo, hi), it
 
 
-def _block_norms(masses: Sequence[np.ndarray], a: np.ndarray, top: float,
+def _unit(abs_x: np.ndarray) -> Tuple[float, np.ndarray]:
+    """(top, y): top = max |X| (0 for no atoms) and y = |X| / top, or |X|
+    itself where top is 0 or inf (no norm reads y then)."""
+    top = float(abs_x.max()) if abs_x.size else 0.0
+    return top, abs_x / top if 0.0 < top < INF else abs_x
+
+
+def _block_norms(masses: Sequence[np.ndarray], y: np.ndarray, top: float,
                  phi: OrliczFunction, tol: float, max_iter: int) -> list:
-    """(norm, root-finder steps) of |X| under each prior of a block: a is
-    |X| on the block's atoms (atoms where X is 0 may be left out), maybe
-    as the `Magnitudes` view its support class shares where phi
-    `_reads_log`, top its max (0 for no atoms), and masses[j] prior j's
-    positive masses there. The priors share phi, so the root-finders'
-    ladders run in lockstep with one phi evaluation per lam (`_brackets`);
-    each then narrows its own bracket."""
+    """(norm, root-finder steps) of |X| under each prior of a block, as
+    top times the norm of y = |X| / top (`_unit`): y is on the block's
+    atoms (atoms where X is 0 may be left out), maybe as the `Magnitudes`
+    view its support class shares where phi `_reads_log`, and masses[j]
+    prior j's positive masses there. The priors share phi, so the
+    root-finders' ladders run in lockstep with one phi evaluation per lam
+    (`_brackets`); each then narrows its own bracket."""
     if top == INF or top == 0.0:
         return [(top, 0)] * len(masses)
-    degree = phi.homogeneity_degree
-    # |X|**degree would leave the float range: take the closed form of
-    # |X| / max|X| and scale back (exact by homogeneity)
-    rescale = degree is not None and degree < INF and abs(degree * math.log2(top)) > _EXP_RANGE
-    y = np.asarray(a) / top if rescale else None
-    out, pending = [], []
-    for j, w in enumerate(masses):
-        value = top * phi.luxemburg_closed_form(w, y) if rescale else phi.luxemburg_closed_form(w, a)
-        out.append((value, 0))
-        if value is None:
-            pending.append(j)
+    out = [(phi.luxemburg_closed_form(w, y), 0) for w in masses]
+    pending = [j for j, (value, _) in enumerate(out) if value is None]
     if pending:
-        if y is None:
-            y = np.asarray(a) / top
         # one error state for every step of the root-finders
         with np.errstate(over="ignore"):
             # a block of one runs its ladder in `_norm_bisection`
@@ -456,9 +452,9 @@ def _block_norms(masses: Sequence[np.ndarray], a: np.ndarray, top: float,
                 lam, _, steps = _norm_bisection(
                     lambda lam: float(phi._eval_scaled(y, 1.0 / lam).dot(w)), tol / 2.0, max_iter,
                     start)
-                out[j] = (top * lam, steps)
+                out[j] = (lam, steps)
     # a nonzero |X| has a positive norm, though its value may underflow
-    return [(max(value, math.ulp(0.0)), steps) for value, steps in out]
+    return [(max(top * value, math.ulp(0.0)), steps) for value, steps in out]
 
 
 def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
@@ -466,19 +462,17 @@ def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
                            with_steps: bool = False):
     """Luxemburg (semi)norm of X under one prior.
 
-    Uses phi's closed form when it has one. Otherwise it finds the norm
-    of |X| / max|X| by bracketed root-finding (`_norm_bisection`) to a
-    bracket [lo, hi] with hi - lo <= tol / 2 * hi and scales back (exact
-    by homogeneity, so the relative accuracy is the same at every scale;
-    it keeps lam far from the float range's ends). With `with_steps` it
-    returns (value, steps).
+    max|X| times the norm of y = |X| / max|X|, so the relative accuracy
+    is the same at every scale: by phi's closed form when it has one,
+    else by bracketed root-finding (`_norm_bisection`) to a bracket
+    [lo, hi] with hi - lo <= tol / 2 * hi. With `with_steps` it returns
+    (value, steps).
     """
     _check_tol(tol, max_iter)
     prior, x = _single_prior_input(prior, x)
     pos = prior > 0.0
-    abs_x = np.abs(x[pos])
-    top = float(abs_x.max()) if abs_x.size else 0.0
-    [(value, steps)] = _block_norms([prior[pos]], abs_x, top, phi, tol, max_iter)
+    top, y = _unit(np.abs(x[pos]))
+    [(value, steps)] = _block_norms([prior[pos]], y, top, phi, tol, max_iter)
     return (value, steps) if with_steps else value
 
 
@@ -492,12 +486,12 @@ def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamil
     seen = None
     for phi, a, masses, labels in _blocks(model, abs_x, family):
         if a is not seen:
-            # a support class's first block: its blocks share max|X|, and
-            # those whose closed form reads log|X| one view that keeps it
-            seen, view, top = a, None, float(a.max()) if a.size else 0.0
+            # a support class's first block: its blocks share max|X| and y,
+            # and those whose closed form reads log y one view that keeps it
+            seen, view, (top, y) = a, None, _unit(a)
         if phi._reads_log and view is None:
-            view = Magnitudes.shared(a)
-        results = _block_norms(masses, view if phi._reads_log else a, top, phi, tol, max_iter)
+            view = Magnitudes.shared(y)
+        results = _block_norms(masses, view if phi._reads_log else y, top, phi, tol, max_iter)
         for member, result in zip(labels, results):
             for label in member:
                 found[label] = result

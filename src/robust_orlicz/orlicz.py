@@ -12,21 +12,24 @@ evaluate phi (`__call__`, the numeric conjugate and derivative, the
 domain-bound norm) each enter `np.errstate(over="ignore")` themselves;
 the norm kernels enter it once per call around all their evaluations.
 
-The norm kernels evaluate phi(|X| / lam) as `_eval_scaled(|X|, 1 /
-lam)`, into which the stock classes fold 1 / lam with their own rates,
-so that each lam costs one pass over |X| less than dividing first. The
-power closed form takes x**p as exp(p log x) on at least
-`_LOG_ROUTE_MIN_SIZE` atoms, reading log x through `Magnitudes.log_of`;
-there the kernels hand a closed form that may do so (`_reads_log`) one
-`Magnitudes` view per support class, which keeps the log once computed,
-so the class's power closed forms share one log pass.
+The norm kernels take every Luxemburg norm on y = |X| / max|X| and
+scale it back by max|X| (the norm is positively homogeneous for every
+phi), so the closed forms and root-finders read values in (0, 1] at any
+scale of X. They evaluate phi(y / lam) as `_eval_scaled(y, 1 / lam)`,
+into which the stock classes fold 1 / lam with their own rates, so that
+each lam costs one pass over y less than dividing first. The power
+closed form takes y**p as exp(p log y) on at least `_LOG_ROUTE_MIN_SIZE`
+atoms, reading log y through `Magnitudes.log_of`; there the kernels hand
+a closed form that may do so (`_reads_log`) one `Magnitudes` view of y
+per support class, which keeps the log once computed, so the class's
+power closed forms share one log pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,14 +51,6 @@ _LOG_ROUTE_MIN_SIZE = 1024
 _INSIDE = 1.0 - 2.0 ** -50
 
 
-def _toward_infinity(level: float, limit: float) -> np.ndarray:
-    """The k to use when (level + sum w phi*(k z)) / k falls to `limit`
-    = b sum w z as k -> inf, b the domain bound: phi >= 0 gives
-    phi*(y) <= b y, so the excess over the limit is at most level / k,
-    below 2**-60 relative at this k (capped at 2**1000)."""
-    return np.array([min(2.0 ** 60 * level / limit, 2.0 ** 1000)])
-
-
 class Magnitudes(np.ndarray):
     """A view of an array of |X| >= 0, not all 0, that keeps its log once
     computed (`log_of`), so that every closed form handed the same view
@@ -71,18 +66,16 @@ class Magnitudes(np.ndarray):
         return abs_x.view(Magnitudes) if abs_x.size >= _LOG_ROUTE_MIN_SIZE else abs_x
 
     @staticmethod
-    def log_of(abs_x: np.ndarray) -> Tuple[int, np.ndarray]:
-        """(e, log(abs_x / 2**e)), -inf at 0, with 2**e just above max
-        abs_x (or 2**-1021 below a subnormal max): the scaling is exact,
-        so the log of the largest entries is exact to a few ulp at any
-        scale, where log abs_x would be off by about |log abs_x| ulp."""
+    def log_of(abs_x: np.ndarray) -> np.ndarray:
+        """log abs_x, -inf at 0. The kernels hand the closed forms
+        |X| / max|X|, so the log of the largest entries is exact to a few
+        ulp at any scale of X, where log |X| would be off by about
+        |log |X|| ulp."""
         shared = isinstance(abs_x, Magnitudes)
         if shared and abs_x._log is not None:
             return abs_x._log
-        values = np.asarray(abs_x)
-        e = max(math.frexp(float(values.max()))[1], -1021)
         with np.errstate(divide="ignore"):
-            log = e, np.log(values * math.ldexp(1.0, -e))
+            log = np.log(np.asarray(abs_x))
         if shared:
             abs_x._log = log
         return log
@@ -145,9 +138,10 @@ class OrliczFunction:
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
         """inf{lam > 0 : sum weights * phi(abs_x / lam) <= 1} in closed
         form, or None; `weights` are a prior's positive masses and abs_x
-        is not all 0. abs_x is a `Magnitudes` view only where
-        `_reads_log` is set, to be read as an array (and through
-        `Magnitudes.log_of`).
+        is not all 0. The kernels hand it |X| / max|X|, whose max is 1,
+        and scale the result back by max|X|; it must hold at any scale.
+        abs_x is a `Magnitudes` view only where `_reads_log` is set, to
+        be read as an array (and through `Magnitudes.log_of`).
 
         The fallback covers a finite domain bound b: below max abs_x / b
         some abs_x / lam lies past b, where phi is inf, so that is the
@@ -170,9 +164,10 @@ class OrliczFunction:
     def conjugate_minimisers(self, weights: np.ndarray, z: np.ndarray,
                              level: float = 1.0) -> Optional[np.ndarray]:
         """Candidate k > 0 at which (level + sum weights * phi*(k z)) / k
-        attains or approaches its infimum over k > 0, or None when phi
-        has no closed form for them. `weights` are a prior's positive
-        masses and z >= 0 a density on them with max z = 1.
+        attains its infimum over k > 0, [inf] where it is approached as
+        k -> inf (there it is b sum weights * z, b the domain bound), or
+        None when phi has no closed form for them. `weights` are a prior's
+        positive masses and z >= 0 a density on them with max z = 1.
 
         Every class below uses the same fact: the derivative of the
         objective is (h(k) - level) / k**2 with h(k) = sum weights *
@@ -384,16 +379,15 @@ class Power(OrliczFunction):
         return x ** self.p
 
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
-        # (abs_x / 2**e)**p as exp(p log(abs_x / 2**e)) shares the log
-        # with every power on the same `Magnitudes`. Measured (BENCH_20.json,
-        # "power_closed_form_crossover"): from 1 024 atoms on, the shared
-        # route costs less than numpy's power once a class has about five
-        # power closed forms (a ladder has dozens), under 512 atoms never
+        # abs_x**p as exp(p log abs_x) shares the log with every power on the
+        # same `Magnitudes`. Measured (BENCH_20.json, "power_closed_form_crossover"):
+        # from 1 024 atoms on, the shared route costs less than numpy's power
+        # once a class has about five power closed forms (a ladder has
+        # dozens), under 512 atoms never
         if abs_x.size < _LOG_ROUTE_MIN_SIZE:
             return float(np.dot(weights, np.asarray(abs_x) ** self.p) ** (1.0 / self.p))
-        e, log = Magnitudes.log_of(abs_x)
-        powers = self.p * log
-        return math.ldexp(float(np.dot(weights, np.exp(powers, out=powers)) ** (1.0 / self.p)), e)
+        powers = self.p * Magnitudes.log_of(abs_x)
+        return float(np.dot(weights, np.exp(powers, out=powers)) ** (1.0 / self.p))
 
     def affine_pieces(self):
         return ((1.0,), (0.0,), INF) if self.p == 1.0 else None
@@ -500,7 +494,7 @@ class EssSupIndicator(OrliczFunction):
     def conjugate_minimisers(self, weights: np.ndarray, z: np.ndarray,
                              level: float = 1.0) -> np.ndarray:
         # phi*(y) = y: the objective level / k + sum w z falls as k grows
-        return _toward_infinity(level, float(np.dot(weights, z)))
+        return np.array([INF])
 
     def derivative_array(self, x: np.ndarray) -> np.ndarray:
         return np.where(np.asarray(x) < 1.0, 0.0, INF)
@@ -605,7 +599,7 @@ class PiecewiseLinear(OrliczFunction):
         i = int(np.searchsorted(h, level))
         if i == h.size:
             # phi*(y) = bound y - phi(bound) past the top slope
-            return _toward_infinity(level, self.bound * float(np.dot(weights, z)))
+            return np.array([INF])
         k = float(steps[order[i]])
         return np.array([k, k * _INSIDE])
 

@@ -75,7 +75,8 @@ class TestClosedFormOracles:
             mu, prior = _random_measure(rng)
             calls.clear()
             kothe_dual_norm(mu, prior, phi)
-            assert 0 < len(calls) <= 16
+            # the ess-sup's dual norm is the k -> inf limit, with no conjugate
+            assert len(calls) == (0 if isinstance(phi, EssSupIndicator) else 1)
 
 
 class TestHomogeneity:

@@ -108,19 +108,19 @@ class TestClosedForms:
             abs_x = np.abs(x)
             if not np.any(abs_x[pos] > 0):
                 continue
+            # the closed form of y = |X| / max|X|, scaled back by max|X|
             top = float(np.max(abs_x[pos]))
-            if abs_x[pos].size < orlicz._LOG_ROUTE_MIN_SIZE:
-                base = float(np.dot(prior[pos], abs_x[pos] ** p) ** (1.0 / p))
+            y = abs_x[pos] / top
+            if y.size < orlicz._LOG_ROUTE_MIN_SIZE:
+                unit = float(np.dot(prior[pos], y ** p) ** (1.0 / p))
             else:
-                # x**p as exp(p log x), on x scaled by the power of two
-                # 2**e just above max x
-                e = math.frexp(top)[1]
+                # y**p as exp(p log y)
                 with np.errstate(divide="ignore"):
-                    powers = np.exp(p * np.log(abs_x[pos] * 2.0 ** -e))
-                base = math.ldexp(float(np.dot(prior[pos], powers) ** (1.0 / p)), e)
-            assert single_prior_luxemburg(prior, Power(p), x) == base
+                    powers = np.exp(p * np.log(y))
+                unit = float(np.dot(prior[pos], powers) ** (1.0 / p))
+            assert single_prior_luxemburg(prior, Power(p), x) == top * unit
             assert (single_prior_luxemburg(prior, Scaled(Power(p), theta, d), x)
-                    == theta * base / d ** (1.0 / p))
+                    == top * (theta * unit / d ** (1.0 / p)))
             assert single_prior_luxemburg(prior, EssSupIndicator(), x) == top
             assert (single_prior_luxemburg(prior, Scaled(EssSupIndicator(), theta, d), x)
                     == theta * top)
