@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import MeasureVector, ScenarioModel, canonicalise
-from .norms import DEFAULT_TOL, OrliczFamily, _blocks, _modulars, sup_prior_norms
+from .norms import DEFAULT_TOL, OrliczFamily, _plan, _prior_modulars, sup_prior_norms
 
 INF = math.inf
 
@@ -110,14 +110,10 @@ def _canonical_abs(t: Truncation) -> np.ndarray:
     return np.abs(canonicalise(t.model, t.x).values)
 
 
-def _robust_norm(t: Truncation, abs_x: Optional[np.ndarray] = None,
-                 tol: float = DEFAULT_TOL) -> float:
-    """Robust norm of one rung as the sup of per-prior norms (uncertified;
-    cheap closed forms apply per prior); `abs_x` is a canonical |X| on the
-    rung's model, |t.x| by default."""
-    if abs_x is None:
-        abs_x = _canonical_abs(t)
-    return sup_prior_norms(t.model, abs_x, t.family, tol)[0]
+def _robust_norm(plan, abs_x: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    """Robust norm of a canonical |X| on a rung's plan (`norms._plan`): the sup
+    of per-prior norms, uncertified (cheap closed forms apply per prior)."""
+    return sup_prior_norms(plan, abs_x, tol)[0]
 
 
 # -- moment growth --------------------------------------------------------
@@ -210,13 +206,14 @@ def tail_membership(ladder: Sequence[Truncation],
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValidationError("levels must be strictly ascending")
     # every rung is canonicalised (and so validated); only the last two
-    # rungs' norms are read
+    # rungs' norms are read, on one plan per rung
     last = list(zip(ladder, [_canonical_abs(t) for t in ladder]))[-2:]
+    plans = [_plan(t.model, t.family) for t, _ in last]
     tail_norms, stable = [], []
     for lev in levels:
         # zero wherever |X| is, so still canonical
-        vals = [_robust_norm(t, np.where(abs_x > lev, abs_x, 0.0), tol)
-                for t, abs_x in last]
+        vals = [_robust_norm(plan, np.where(abs_x > lev, abs_x, 0.0), tol)
+                for plan, (_, abs_x) in zip(plans, last)]
         a, b = vals[0], vals[-1]
         tail_norms.append(b)
         stable.append(len(vals) == 1
@@ -264,7 +261,7 @@ def membership_classify(ladder, tol: float = DEFAULT_TOL) -> str:
         raise ValidationError("empty truncation ladder")
     if not np.isfinite(_canonical_abs(ladder[-1])).all():
         return "outside_frakL"
-    norms = [_robust_norm(t, tol=tol) for t in ladder]
+    norms = [_robust_norm(_plan(t.model, t.family), _canonical_abs(t), tol) for t in ladder]
     if len(norms) == 1:
         return "in_LPhi" if norms[0] < INF else "in_frakL_only"
     if any(v == INF for v in norms):
@@ -312,7 +309,8 @@ def mixture_witness(model: ScenarioModel, x, family: OrliczFamily,
     if gamma is None:
         gamma = {l: 0.0 for l in model.prior_labels}
     abs_x = np.abs(canonicalise(model, x).values)
-    per_prior = sup_prior_norms(model, abs_x, family, tol)[1]
+    plan = _plan(model, family)
+    per_prior = sup_prior_norms(plan, abs_x, tol)[1]
     labels = list(model.prior_labels)
     if pstar_label is None:
         pstar_label = labels[0]
@@ -341,15 +339,8 @@ def mixture_witness(model: ScenarioModel, x, family: OrliczFamily,
                     per_prior_norms=per_prior, mixture=None,
                     modular_lower_bound=0.0)
 
-    chosen = set(sel)
-    mods = {}
     with np.errstate(over="ignore"):
-        for phi, a, masses, labels in _blocks(model, abs_x, family):
-            picked = [j for j, member in enumerate(labels) if not chosen.isdisjoint(member)]
-            if picked:
-                values = _modulars((masses[j] for j in picked), a, phi, alpha)
-                for j, m in zip(picked, values):
-                    mods.update(dict.fromkeys(labels[j], m))
+        mods = _prior_modulars(plan, abs_x, alpha)
     raw = np.zeros(model.n_atoms)
     contributions = []
     bound = 0.0

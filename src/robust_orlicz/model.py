@@ -75,26 +75,34 @@ class ScenarioModel:
 
     def __init__(self, atoms: Sequence[str], priors: Iterable, prior_labels=None):
         atoms = tuple(str(a) for a in atoms)
-        mats = []
-        support = np.zeros(len(atoms), dtype=bool)
-        for p in priors:
-            v = np.asarray(p, dtype=float)
-            if v.shape != (len(atoms),):
-                raise ValidationError("prior length does not match atom count")
-            if not np.all(np.isfinite(v)):
-                raise ValidationError("prior masses must be finite")
-            if np.any(v < 0):
-                raise ValidationError("prior has negative mass")
-            s = float(v.sum())
-            if abs(s - 1.0) > PROB_RENORM_TOL:
-                raise ValidationError(f"prior mass {s!r} deviates from 1 beyond tolerance")
-            if abs(s - 1.0) > PROB_SUM_TOL:
-                v = v / s
-            v.setflags(write=False)
-            mats.append(v)
-            support |= v > 0.0
-        if not mats:
+        priors = priors if isinstance(priors, np.ndarray) else list(priors)
+        if len(priors) == 0:
             raise ValidationError("a model needs at least one prior")
+        try:
+            stacked = np.asarray(priors, dtype=float)
+        except ValueError:  # ragged, or masses that are no numbers (which raise here)
+            stacked = [np.asarray(p, dtype=float) for p in priors]
+        if not isinstance(stacked, np.ndarray) or stacked.shape != (len(priors), len(atoms)):
+            raise ValidationError("prior length does not match atom count")
+        if not np.isfinite(stacked).all():
+            raise ValidationError("prior masses must be finite")
+        if (stacked < 0).any():
+            raise ValidationError("prior has negative mass")
+        # each prior's own sum: pairwise along a row, as a C-ordered sum is
+        sums = (stacked.sum(axis=1) if stacked.flags.c_contiguous
+                else np.array([v.sum() for v in stacked]))
+        off = np.abs(sums - 1.0)
+        if (off > PROB_RENORM_TOL).any():
+            s = float(sums[off > PROB_RENORM_TOL][0])
+            raise ValidationError(f"prior mass {s!r} deviates from 1 beyond tolerance")
+        # a float array stays itself: a list of them is stacked only to be checked
+        mats = [row / s if d > PROB_SUM_TOL else p if type(p) is np.ndarray and p.dtype == float
+                else row for p, row, s, d in zip(priors, stacked, sums, off)]
+        for v in mats:
+            v.setflags(write=False)
+        # dividing by a sum within 1e-9 of 1 keeps every positive mass positive
+        charged = stacked > 0.0
+        support = charged.any(axis=0)
         if prior_labels is None:
             prior_labels = tuple(f"P{i + 1}" for i in range(len(mats)))
         else:
@@ -110,7 +118,7 @@ class ScenarioModel:
         object.__setattr__(self, "prior_groups", groups)
         classes: dict = {}  # one support's bytes per class, not one per prior
         for j, g in enumerate(groups):
-            classes.setdefault((mats[g[0]] > 0.0).tobytes(), []).append(j)
+            classes.setdefault(charged[g[0]].tobytes(), []).append(j)
         object.__setattr__(self, "support_classes", tuple(map(tuple, classes.values())))
 
     @property

@@ -35,7 +35,9 @@ prior alone, so per-prior norms, step counts, brackets and modulars are
 bit-identical to it. phi may overflow to inf: every caller of
 `_modulars` enters np.errstate(over="ignore") once around its
 evaluations, while the closed forms enter none. A block holds at most
-one phi evaluation; `_blocks` says how it gathers its masses.
+one phi evaluation. `_plan` builds the blocks once per public call, for
+the sup and the certificate both, as they depend on the model and
+family alone; `_blocks` walks them for one X and says how it gathers.
 
 The blocks of a support class share max|X| and y, and those whose
 closed form may read log y (`Power`, `Scaled(Power)`: `_reads_log`) one
@@ -50,7 +52,7 @@ the closed forms and the scale rule.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import (Callable, Dict, Generator, Iterable, Iterator, Mapping, Optional,
                     Sequence, Tuple)
@@ -215,54 +217,67 @@ class _Gathered:
         return self.priors[i][self.keep]
 
 
-def _blocks(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamily,
-            first: Optional[str] = None) -> Iterator[tuple]:
-    """(phi, a, masses, labels) per block: the priors of a support class
-    that share one phi object, a class's blocks one after another. a is
-    |X| on the atoms they keep (those they charge where |X| > 0), gathered
-    once per class; masses[j] is the masses there of the block's j-th
-    group of equal priors and labels[j] the labels of its members in the
-    block. A group in one block is gathered as that block comes, a group
-    in several once per class for all of them; a block that spans several
-    groups gathers them on each access unless they keep every atom. So
-    no more than a class's masses are held at once. With `first`, that
-    prior's block comes first and its group first in the block."""
-    labels, priors, groups, classes = (model.prior_labels, model.priors,
-                                       model.prior_groups, model.support_classes)
-    if first is not None:
-        k = labels.index(first)
-        g = next(g for g, group in enumerate(groups) if k in group)
-        groups = list(groups)
-        groups[g] = (k,) + tuple(i for i in groups[g] if i != k)
-        classes = sorted(classes, key=lambda members: g not in members)
-        classes[0] = (g,) + tuple(j for j in classes[0] if j != g)
-    nonzero = abs_x > 0.0
-    for members in classes:
-        keep = (priors[groups[members[0]][0]] > 0.0) & nonzero
-        if np.count_nonzero(keep) == keep.size:
-            keep = None
-        a = abs_x if keep is None else abs_x[keep]
+_Plan = namedtuple("_Plan", "model family classes")
+
+
+def _plan(model: ScenarioModel, family: OrliczFamily) -> _Plan:
+    """The blocks of `model` under `family`, which do not depend on X: per
+    support class (the atoms its priors charge, its blocks), per block
+    (phi, masses, labels, shared) for the priors of the class that share
+    one phi object, where masses[j] is the mass vector of the block's j-th
+    group of equal priors, labels[j] the labels of its members in the
+    block, and `shared` says that a group of it sits in another block too."""
+    labels, priors, groups = model.prior_labels, model.priors, model.prior_groups
+    classes = []
+    for members in model.support_classes:
         found: dict = {}  # id(phi) -> (phi, {group: its labels with phi})
         for j in members:
             for k in groups[j]:
                 phi = family.phi(labels[k])
                 found.setdefault(id(phi), (phi, {}))[1].setdefault(j, []).append(labels[k])
-        if keep is not None and len(found) > 1:
-            blocks_of = Counter(j for _, names in found.values() for j in names)
-            gathered: dict = {}  # group in several blocks -> its masses on keep
-        for phi, names in found.values():
-            ws = [priors[groups[j][0]] for j in names]
+        blocks_of = Counter(j for _, names in found.values() for j in names)
+        blocks = [(phi, [priors[groups[j][0]] for j in names], list(names.values()),
+                   any(blocks_of[j] > 1 for j in names))
+                  for phi, names in found.values()]
+        classes.append((priors[groups[members[0]][0]] > 0.0, blocks))
+    return _Plan(model, family, tuple(classes))
+
+
+def _blocks(plan: _Plan, abs_x: np.ndarray) -> Iterator[tuple]:
+    """(phi, a, masses, labels) per block of `plan`, a class's blocks one
+    after another: a is |X| on the atoms they keep (those they charge
+    where |X| > 0), gathered once per class, and masses[j] the masses
+    there of the block's j-th group. A group in one block is gathered as
+    that block comes, a group in several once per class for all of them;
+    a block of several groups gathers them on each access unless they
+    keep every atom. So no more than a class's masses are held at once."""
+    nonzero = abs_x > 0.0
+    for support, blocks in plan.classes:
+        keep = support & nonzero
+        if np.count_nonzero(keep) == keep.size:
+            keep = None
+        a = abs_x if keep is None else abs_x[keep]
+        gathered: dict = {}  # id of a group in several blocks -> its masses on keep
+        for phi, ws, labels, shared in blocks:
             if keep is not None and len(ws) > 1:
                 ws = _Gathered(ws, keep)
+            elif keep is not None and shared:
+                if id(ws[0]) not in gathered:
+                    gathered[id(ws[0])] = ws[0][keep]
+                ws = [gathered[id(ws[0])]]
             elif keep is not None:
-                [j] = names
-                if len(found) == 1 or blocks_of[j] == 1:
-                    ws = [ws[0][keep]]
-                else:
-                    if j not in gathered:
-                        gathered[j] = ws[0][keep]
-                    ws = [gathered[j]]
-            yield phi, a, ws, list(names.values())
+                ws = [ws[0][keep]]
+            yield phi, a, ws, labels
+
+
+def _prior_modulars(plan: _Plan, abs_x: np.ndarray, s: float) -> Dict[str, float]:
+    """E_P[phi_P(s |X|)] for every prior P of `plan`, by label, one phi
+    evaluation per block; the caller enters `_modulars`' error state."""
+    out: Dict[str, float] = {}
+    for phi, a, masses, labels in _blocks(plan, abs_x):
+        for member, m in zip(labels, _modulars(masses, a, phi, s)):
+            out.update(dict.fromkeys(member, m))
+    return out
 
 
 def _single_prior_input(prior, x) -> tuple:
@@ -290,11 +305,8 @@ def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily) -> float:
     family.check_model(model)
     _check_scale(lam)
     abs_x = np.abs(canonicalise(model, x).values)
-    best = 0.0
     with np.errstate(over="ignore"):
-        for phi, a, masses, _ in _blocks(model, abs_x, family):
-            best = max(best, *_modulars(masses, a, phi, 1.0 / lam))
-    return best
+        return max(0.0, *_prior_modulars(_plan(model, family), abs_x, 1.0 / lam).values())
 
 
 # -- norms ----------------------------------------------------------------
@@ -476,15 +488,14 @@ def single_prior_luxemburg(prior: np.ndarray, phi: OrliczFunction, x,
     return (value, steps) if with_steps else value
 
 
-def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamily,
-                    tol: float = DEFAULT_TOL,
+def sup_prior_norms(plan: _Plan, abs_x: np.ndarray, tol: float = DEFAULT_TOL,
                     max_iter: int = MAX_ITER) -> Tuple[float, Dict[str, float], int]:
-    """sup_P ||X||_P for a canonical |X|: returns the sup, the per-prior
-    norms, and the root-finder steps of the prior attaining the sup."""
+    """sup_P ||X||_P for a canonical |X| over the priors of `plan`: the sup,
+    the per-prior norms, and the root-finder steps of the prior attaining it."""
     _check_tol(tol, max_iter)
     found: Dict[str, Tuple[float, int]] = {}
     seen = None
-    for phi, a, masses, labels in _blocks(model, abs_x, family):
+    for phi, a, masses, labels in _blocks(plan, abs_x):
         if a is not seen:
             # a support class's first block: its blocks share max|X| and y,
             # and those whose closed form reads log y one view that keeps it
@@ -497,7 +508,7 @@ def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamil
                 found[label] = result
     per_prior: Dict[str, float] = {}
     best, best_steps = 0.0, 0
-    for label in model.prior_labels:
+    for label in plan.model.prior_labels:
         value, steps = found[label]
         per_prior[label] = value
         if value > best:
@@ -505,63 +516,54 @@ def sup_prior_norms(model: ScenarioModel, abs_x: np.ndarray, family: OrliczFamil
     return best, per_prior, best_steps
 
 
-def _certify(model: ScenarioModel, abs_x: np.ndarray, value: float, delta: float,
-             family: OrliczFamily, offsets: Mapping[str, float],
-             first: str) -> Tuple[tuple, float]:
+def _certify(plan: _Plan, abs_x: np.ndarray, value: float, delta: float,
+             offsets: Mapping[str, float], per_prior: Mapping[str, float]) -> Tuple[tuple, float]:
     """Certify value = inf{lam : M(lam) <= 1} within delta, where
-    M(lam) = sup_P (E_P[phi_P(|X|/lam)] - offset_P): M <= 1 at value +
-    delta and M > 1 at value - delta if positive; 0 only for |X| = 0 on
-    the support; inf by M > 1 at 2**1023. Returns (bracket, M at its upper
-    end) or raises ConsistencyError. Prior `first` is tried first where
-    one prior above 1 settles the check. Both ends are evaluated in one
-    pass over the blocks.
+    M(lam) = sup_P (E_P[phi_P(|X|/lam)] - offset_P) over the priors of
+    `plan`: M <= 1 at value + delta and M > 1 at value - delta if
+    positive; 0 only for |X| = 0 on the support; inf by M > 1 at
+    2**1023. Returns (bracket, M at its upper end) or raises
+    ConsistencyError. The upper end evaluates every prior; the lower end
+    evaluates the prior attaining the sup of `per_prior` (the per-prior
+    norms) alone on its atoms, which settles it when that prior is above
+    1, and every prior otherwise.
     """
 
-    def joint(hi: Optional[float], lo: Optional[float]) -> Tuple[float, float]:
-        # M at hi over every prior; M at lo only until it exceeds 1
-        at_hi = at_lo = -INF
-        with np.errstate(over="ignore"):
-            for phi, a, masses, labels in _blocks(model, abs_x, family, first):
-                if hi is not None:
-                    for member, m in zip(labels, _modulars(masses, a, phi, 1.0 / hi)):
-                        for label in member:
-                            at_hi = max(at_hi, m - offsets[label])
-                if lo is not None and not at_lo > 1.0:
-                    values = phi._eval_scaled(a, 1.0 / lo)
-                    for member, w in zip(labels, masses):
-                        m = float(values.dot(w))
-                        for label in member:
-                            at_lo = max(at_lo, m - offsets[label])
-                        if at_lo > 1.0:
-                            break
-        return at_hi, at_lo
+    def joint(lam: float) -> float:
+        return max(m - offsets[label]
+                   for label, m in _prior_modulars(plan, abs_x, 1.0 / lam).items())
+
+    def lower(lam: float) -> float:
+        first = max(per_prior, key=per_prior.__getitem__)
+        w = plan.model.prior(first)
+        keep = (w > 0.0) & (abs_x > 0.0)
+        m = _modulars([w[keep]], abs_x[keep], plan.family.phi(first), 1.0 / lam)[0] - offsets[first]
+        return m if m > 1.0 else joint(lam)
 
     if value == 0.0:
         if np.any(abs_x > 0.0):
             raise ConsistencyError("norm 0 reported for a variable nonzero on the support")
         return (0.0, 0.0), 0.0
-    if value == INF:
-        at_cap = joint(None, _LAMBDA_CAP)[1]
-        if not at_cap > 1.0:
+    # one error state for both ends
+    with np.errstate(over="ignore"):
+        if value == INF:
+            at_cap = lower(_LAMBDA_CAP)
+            if not at_cap > 1.0:
+                raise ConsistencyError(f"norm inf reported but the joint modular is "
+                                       f"{at_cap!r} <= 1 at {_LAMBDA_CAP!r}")
+            return (_LAMBDA_CAP, INF), INF
+        lo, hi = value - delta, value + delta
+        at_hi = joint(hi)
+        if not at_hi <= 1.0:
             raise ConsistencyError(
-                f"norm inf reported but the joint modular is {at_cap!r} <= 1 at {_LAMBDA_CAP!r}")
-        return (_LAMBDA_CAP, INF), INF
-    lo, hi = value - delta, value + delta
-    at_hi, at_lo = joint(hi, lo if lo > 0.0 else None)
-    if not at_hi <= 1.0:
-        raise ConsistencyError(
-            f"joint modular {at_hi!r} > 1 at {hi!r}, above the sup of "
-            f"per-prior norms {value!r}")
-    if lo > 0.0:
+                f"joint modular {at_hi!r} > 1 at {hi!r}, above the sup of "
+                f"per-prior norms {value!r}")
+        at_lo = lower(lo) if lo > 0.0 else INF
         if not at_lo > 1.0:
             raise ConsistencyError(
                 f"joint modular {at_lo!r} <= 1 at {lo!r}, below the sup of "
                 f"per-prior norms {value!r}")
     return (max(lo, 0.0), hi), at_hi
-
-
-def _argmax(values: Mapping[str, float]) -> str:
-    return max(values, key=values.__getitem__)
 
 
 def luxemburg_norm(model: ScenarioModel, x, family: OrliczFamily,
@@ -576,10 +578,11 @@ def luxemburg_norm(model: ScenarioModel, x, family: OrliczFamily,
     """
     family.check_model(model)
     abs_x = np.abs(canonicalise(model, x).values)
-    value, per_prior, steps = sup_prior_norms(model, abs_x, family, tol, max_iter)
+    plan = _plan(model, family)
+    value, per_prior, steps = sup_prior_norms(plan, abs_x, tol, max_iter)
     bracket, mod_at = _certify(
-        model, abs_x, value, _CERT_HALF_WIDTH * tol * max(1.0, value),
-        family, dict.fromkeys(model.prior_labels, 0.0), _argmax(per_prior))
+        plan, abs_x, value, _CERT_HALF_WIDTH * tol * max(1.0, value),
+        dict.fromkeys(model.prior_labels, 0.0), per_prior)
     return NormResult(value=value, bracket=bracket, modular_at_value=mod_at,
                       iterations=steps, per_prior_norms=per_prior)
 
@@ -599,10 +602,10 @@ def penalised_norm(model: ScenarioModel, x, phi: OrliczFunction,
     abs_x = np.abs(canonicalise(model, x).values)
     family = OrliczFamily.additively_penalised(model, phi, gamma)
     res = luxemburg_norm(model, abs_x, family, tol=tol, max_iter=max_iter)
-    _certify(model, abs_x, res.value, 2.0 * tol * max(1.0, res.value),
-             OrliczFamily.uniform(model, phi),
+    _certify(_plan(model, OrliczFamily.uniform(model, phi)), abs_x, res.value,
+             2.0 * tol * max(1.0, res.value),
              {l: float(gamma[l]) for l in model.prior_labels},
-             _argmax(res.per_prior_norms))
+             res.per_prior_norms)
     return res
 
 
@@ -615,7 +618,7 @@ def weighted_lp_norm(model: ScenarioModel, x, p: float,
         raise ValidationError("p must be at least 1")
     phi = EssSupIndicator() if p == INF else Power(p)
     family = OrliczFamily.multiplicatively_weighted(model, phi, theta)
-    return sup_prior_norms(model, np.abs(canonicalise(model, x).values), family)[0]
+    return sup_prior_norms(_plan(model, family), np.abs(canonicalise(model, x).values))[0]
 
 
 def risk_measure(model: ScenarioModel, x, gamma: Mapping[str, float]) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConsistencyError, ValidationError
 from .duality import _CAP, _SLSQP_FTOL, _SLSQP_MAXITER, _dual_norm_conjugate
 from .model import ScenarioModel, canonicalise
-from .norms import DEFAULT_TOL, MAX_ITER, OrliczFamily, _check_tol, sup_prior_norms
+from .norms import DEFAULT_TOL, MAX_ITER, OrliczFamily, _check_tol, _plan, sup_prior_norms
 
 INF = math.inf
 
@@ -63,7 +63,6 @@ class ProjectionResult:
     coefficients: np.ndarray
     residual_norm: float
     lower_bound: float
-    stationary: bool
     restart_values: List[float]
 
 
@@ -82,7 +81,7 @@ def _scales(yc: np.ndarray, B: np.ndarray, support: np.ndarray) -> tuple:
 
 def _lifted_solver(model: ScenarioModel, yc: np.ndarray, B: np.ndarray,
                    family: OrliczFamily, exact: float, optimize) -> Callable:
-    """solve(a0, f0) -> (coefficients, success flag, lower bound, measure)
+    """solve(a0, f0) -> (coefficients, lower bound, measure)
     for the lifted program of `project_onto_span` from a start a0 of robust
     norm f0 > exact.
 
@@ -177,10 +176,9 @@ def _lifted_solver(model: ScenarioModel, yc: np.ndarray, B: np.ndarray,
                                             "dual_feasibility_tolerance": 1e-10,
                                             "small_matrix_value": 1e-12})
         if res.x is None:
-            return lambda a0, f0: (a0, False, 0.0, None)
-        found = (res.x[:n] * c_y / c_b, res.status == 0)
-        found += (certificate(G[:, n + 1:u_end], -res.ineqlin.marginals)
-                  if res.status == 0 else (0.0, None))
+            return lambda a0, f0: (a0, 0.0, None)
+        found = (res.x[:n] * c_y / c_b,) + (certificate(G[:, n + 1:u_end], -res.ineqlin.marginals)
+                                            if res.status == 0 else (0.0, None))
         return lambda a0, f0: found
     jac0 = np.vstack([G, np.zeros((len(smooth_owner), width))])
     last = {}  # phi(z) at the last point, for the Jacobian there
@@ -221,7 +219,7 @@ def _lifted_solver(model: ScenarioModel, yc: np.ndarray, B: np.ndarray,
                 constraints={"type": "ineq", "fun": constraints, "jac": jacobian},
                 options={"ftol": _SLSQP_FTOL, "maxiter": _SLSQP_MAXITER})
             jac_u = jacobian(res.x)[:, n + 1:u_end]
-        return (res.x[:n] * c_y / c_b, bool(res.success)) + certificate(jac_u, res.multipliers)
+        return (res.x[:n] * c_y / c_b,) + certificate(jac_u, res.multipliers)
 
     return solve
 
@@ -248,9 +246,7 @@ def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
     start that certifies, raises ConsistencyError with rho, LB and the
     gate. `restart_values` are the final values of the starts that ran,
     the robust norm at the better of the start and its solution;
-    `residual_norm` is the best of them and `lower_bound` the best bound;
-    `stationary` is the solver's success flag for the best start (True
-    for a start that needed no solve).
+    `residual_norm` is the best of them and `lower_bound` the best bound.
     """
     from scipy import optimize  # here, so that every projection pays for it
 
@@ -267,8 +263,10 @@ def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
     if not (np.all(np.isfinite(yc)) and np.all(np.isfinite(B))):
         raise ValidationError("projection needs a finite target and a finite basis")
 
+    plan = _plan(model, family)
+
     def worst(a: np.ndarray) -> float:
-        return sup_prior_norms(model, np.abs(yc - a @ B), family, tol)[0]
+        return sup_prior_norms(plan, np.abs(yc - a @ B), tol)[0]
 
     n = B.shape[0]
     if worst(np.zeros(n)) == INF:
@@ -289,21 +287,21 @@ def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
     exact = max(10.0 * tol, 1e-12)
     gate = max(1e-6, 50.0 * tol)
     solve = None  # built for the first start that needs it
-    best_a, best_f, best_st, best_lb = None, INF, False, 0.0
+    best_a, best_f, best_lb = None, INF, 0.0
     finals = []
     for a0 in starts():
-        a, f, st = a0, worst(a0), True
+        a, f = a0, worst(a0)
         lb = f  # a start that needs no solve is its own bound
         if f > exact:
             if solve is None:
                 solve = _lifted_solver(model, yc, B, family, exact, optimize)
-            a_new, st, lb, _ = solve(a0, f)
+            a_new, lb, _ = solve(a0, f)
             f_new = worst(a_new)
             if f_new < f:
                 a, f = a_new, f_new
         finals.append(f)
         if f < best_f:
-            best_a, best_f, best_st = a, f, st
+            best_a, best_f = a, f
         best_lb = max(best_lb, lb)
         if best_lb > best_f + tol * max(1.0, best_f):
             raise ConsistencyError(
@@ -311,8 +309,7 @@ def project_onto_span(model: ScenarioModel, y, basis: OptionBasis,
                 f"beyond {tol!r} max(1, residual)")
         if best_f - best_lb <= gate * max(1.0, best_f):
             return ProjectionResult(coefficients=best_a, residual_norm=best_f,
-                                    lower_bound=best_lb, stationary=best_st,
-                                    restart_values=finals)
+                                    lower_bound=best_lb, restart_values=finals)
     raise ConsistencyError(
         f"no start certifies: residual norm {best_f!r}, best lower bound "
         f"{best_lb!r}, gate {gate!r} max(1, residual)")

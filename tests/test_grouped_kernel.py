@@ -120,7 +120,7 @@ class TestGroupedKernel:
             return blocks
 
         monkeypatch.setattr(norms, "_blocks", counted)
-        norms.sup_prior_norms(m, abs_x, fam)
+        norms.sup_prior_norms(norms._plan(m, fam), abs_x)
         masses = [w for _, _, ws, _ in blocks for w in ws]
         assert len(blocks) == len(masses) == m.n_priors
         assert len(set(map(id, masses))) == 2

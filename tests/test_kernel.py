@@ -37,6 +37,25 @@ class TestCertificate:
         with pytest.raises(ConsistencyError):
             penalised_norm(m, x, _skewed_power(2.0, factor), {"P1": 0.5, "P2": 0.0})
 
+    def test_lower_end_falls_back_to_every_prior(self):
+        # P1's closed form reads 0.7 tol high, so P1 attains the sup and
+        # its own modular is <= 1 at the bracket's lower end; P2's norm
+        # lies 0.3 tol above P1's true norm, inside the bracket, and its
+        # modular there settles the check
+        x = [1.0, 2.0]
+        n1 = math.sqrt(2.5)  # the L2 norm of x under (1/2, 1/2)
+        a = (4.0 - 2.5 * (1.0 + 0.3 * TOL) ** 2) / 3.0  # a + 4 (1 - a) = n2**2
+        m = ScenarioModel(["a", "b"], [[0.5, 0.5], [a, 1.0 - a]])
+        fam = OrliczFamily({"P1": _skewed_power(2.0, 1.0 + 0.7 * TOL), "P2": Power(2.0)})
+        res = luxemburg_norm(m, x, fam)
+        assert res.per_prior_norms["P1"] > res.per_prior_norms["P2"] > n1
+        half = norms._CERT_HALF_WIDTH * TOL * res.value
+        lo, hi = res.value - half, res.value + half
+        assert res.value == res.per_prior_norms["P1"] and res.bracket == (lo, hi)
+        assert norms.single_prior_modular(m.prior("P1"), Power(2.0), np.abs(x), lo) <= 1.0
+        assert norms.single_prior_modular(m.prior("P2"), Power(2.0), np.abs(x), lo) > 1.0
+        assert res.modular_at_value == modular(m, x, hi, fam) <= 1.0
+
     @pytest.mark.parametrize("factor", [1.01, 0.99])
     def test_wrong_bisection_raises(self, monkeypatch, factor):
         bisection = norms._norm_bisection

@@ -44,6 +44,57 @@ class TestScenarioModel:
         with pytest.raises(ValidationError):
             ScenarioModel(["a", "b"], [[1, 0], [0, 1]], ["P", "P"])
 
+    @staticmethod
+    def _per_prior_reference(n_atoms, priors):
+        """The checks one prior at a time: the first fault's message, or
+        the renormalised priors."""
+        out = []
+        for p in priors:
+            v = np.asarray(p, dtype=float)
+            if v.shape != (n_atoms,):
+                return "prior length does not match atom count"
+            if not np.all(np.isfinite(v)):
+                return "prior masses must be finite"
+            if np.any(v < 0):
+                return "prior has negative mass"
+            s = float(v.sum())
+            if abs(s - 1.0) > 1e-9:
+                return f"prior mass {s!r} deviates from 1 beyond tolerance"
+            out.append(v / s if abs(s - 1.0) > 1e-12 else v)
+        return out or "a model needs at least one prior"
+
+    def test_stacked_checks_match_a_per_prior_loop(self, rng):
+        # one fault at most per input, given as lists, float arrays, a
+        # C-ordered or a Fortran-ordered 2-D array
+        for _ in range(300):
+            n, k = int(rng.integers(1, 300)), int(rng.integers(1, 5))
+            priors = rng.dirichlet(np.ones(n), size=k)
+            r = int(rng.integers(0, k))
+            priors[r] *= 1.0 + rng.choice([0.0, 5e-13, 4e-12, -3e-10, 2e-9])
+            fault = rng.choice(["none", "nan", "inf", "neg", "len", "empty"])
+            rows = [list(v) for v in priors]
+            if fault in ("nan", "inf", "neg"):
+                rows[r][0] = {"nan": math.nan, "inf": math.inf, "neg": -1e-3}[fault]
+            rows = {"len": rows[:r] + [rows[r] + [0.0]] + rows[r + 1:], "empty": []}.get(fault, rows)
+            want = self._per_prior_reference(n, rows)
+            forms = [rows, [np.array(v) for v in rows]]
+            if fault not in ("len", "empty"):
+                forms += [np.array(rows), np.asfortranarray(rows)]
+            for form in forms:
+                if isinstance(want, str):
+                    with pytest.raises(ValidationError) as err:
+                        ScenarioModel([f"w{i}" for i in range(n)], form)
+                    assert str(err.value) == want
+                else:
+                    got = ScenarioModel([f"w{i}" for i in range(n)], form).priors
+                    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    def test_a_float_array_prior_is_not_copied(self, rng):
+        p = rng.dirichlet(np.ones(5))
+        assert all(v is p for v in ScenarioModel(list("abcde"), [p] * 3).priors)
+        stacked = rng.dirichlet(np.ones(5), size=3)
+        assert all(v.base is stacked for v in ScenarioModel(list("abcde"), stacked).priors)
+
     def test_prior_lookup(self):
         m = ScenarioModel(["a", "b"], [[1, 0], [0, 1]])
         np.testing.assert_array_equal(m.prior("P2"), [0, 1])

@@ -25,7 +25,7 @@ def test_measure_separates_the_target_from_the_span(kind):
         B = option_basis(m, x).vectors
         solve = spanning._lifted_solver(m, y, B, fam, 1e-9, optimize)
         rho = project_onto_span(m, y, option_basis(m, x), fam).residual_norm
-        _, _, lower, mu = solve(np.zeros(B.shape[0]), 10.0 * rho)
+        _, lower, mu = solve(np.zeros(B.shape[0]), 10.0 * rho)
         assert np.all(np.abs(B @ mu) <= 1e-12 * np.abs(mu).sum())
         assert mu @ y > 0.0
         assert np.all(mu[~m.support_mask] == 0.0)
@@ -55,7 +55,7 @@ def _replace_solver(monkeypatch, solution):
 def test_no_certified_start_names_residual_bound_and_gate(monkeypatch):
     # every solve ends where it started, with no bound: all 3 + 2 starts run
     best = project_onto_span(MODEL, Y, BASIS, FAMILY)
-    calls = _replace_solver(monkeypatch, lambda a0, f0: (best.coefficients, False, 0.0, None))
+    calls = _replace_solver(monkeypatch, lambda a0, f0: (best.coefficients, 0.0, None))
     with pytest.raises(ConsistencyError) as err:
         project_onto_span(MODEL, Y, BASIS, FAMILY, n_restarts=2)
     assert len(calls) == 5
@@ -68,7 +68,7 @@ def test_a_later_start_that_certifies_is_returned(monkeypatch):
     best = project_onto_span(MODEL, Y, BASIS, FAMILY)
     bounds = iter([0.5 * best.residual_norm, best.residual_norm])
     calls = _replace_solver(
-        monkeypatch, lambda a0, f0: (best.coefficients, True, next(bounds), None))
+        monkeypatch, lambda a0, f0: (best.coefficients, next(bounds), None))
     res = project_onto_span(MODEL, Y, BASIS, FAMILY)
     assert len(calls) == 2 and len(res.restart_values) == 2
     assert res.lower_bound == best.residual_norm
@@ -78,7 +78,7 @@ def test_a_later_start_that_certifies_is_returned(monkeypatch):
 def test_bound_above_the_residual_raises(monkeypatch):
     best = project_onto_span(MODEL, Y, BASIS, FAMILY)
     _replace_solver(monkeypatch,
-                    lambda a0, f0: (best.coefficients, True, 1.01 * best.residual_norm, None))
+                    lambda a0, f0: (best.coefficients, 1.01 * best.residual_norm, None))
     with pytest.raises(ConsistencyError, match="above the residual norm"):
         project_onto_span(MODEL, Y, BASIS, FAMILY)
 

@@ -91,7 +91,7 @@ def test_blocks_split_on_phi_and_support():
     m = ScenarioModel(["a", "b", "c", "d"], [p, q, p, r, q])
     fam = OrliczFamily({"P1": phi, "P2": phi, "P3": other, "P4": phi, "P5": phi})
     blocks = [(id(ph), labels) for ph, _, _, labels in
-              norms._blocks(m, np.array([1.0, 2.0, 3.0, 4.0]), fam)]
+              norms._blocks(norms._plan(m, fam), np.array([1.0, 2.0, 3.0, 4.0]))]
     # P1/P3 and P2/P5 are equal priors; P4 charges an atom the others do
     # not; `other` equals phi, so the family makes it phi and P3 joins
     # phi's block
