@@ -1,8 +1,9 @@
 """Dominating measures and the uniform-integrability profile.
 
 A single probability measure P* is built as the renormalised mixture
-sum_n 2^{-n} min{1, 1/||P_n||} P_n, with ||P_n|| the operator-norm bound
-of the prior as a functional on the robust Orlicz space. On a finite
+sum_n 2^{-n} min{1, 1/||P_n||} P_n, with ||P_n|| the exact operator norm
+sup{E_{P_n}|X| : ||X||_{L^phi(P_n)} <= 1} = sup{x : phi(x) <= 1} of the
+prior (`prior_norm_bound`). On a finite
 model P* charges exactly the quasi-sure support, and the P*-a.s. order
 coincides with the quasi-sure order.
 """
@@ -85,6 +86,10 @@ def uniform_integrability_report(model: ScenarioModel, pstar,
     which is reported alongside the per-prior densities.
     """
     p = pstar.masses if isinstance(pstar, MeasureVector) else np.asarray(pstar, dtype=float)
+    if p.shape != (model.n_atoms,):
+        raise ValidationError("dominating measure length does not match atom count")
+    if not (np.isfinite(p).all() and (p >= 0).all()):
+        raise ValidationError("dominating measure masses must be finite and nonnegative")
     c_grid = [float(c) for c in c_grid]
     if np.isnan(c_grid).any():
         raise ValidationError("c_grid must not contain NaN")

@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 from .model import MeasureVector, RandomVariable, ScenarioModel, canonicalise
-from .norms import (DEFAULT_TOL, MAX_ITER, NormResult, OrliczFamily, _check_tol,
-                    luxemburg_norm, single_prior_luxemburg)
+from .norms import (DEFAULT_TOL, MAX_ITER, NormResult, OrliczFamily, _block_norms,
+                    _check_tol, luxemburg_norm, single_prior_luxemburg)
 from .orlicz import OrliczFunction, Scaled
 
 INF = math.inf
@@ -55,16 +55,21 @@ _SLSQP_FTOL = 5e-15
 _SLSQP_MAXITER = 100
 # the cap on phi, phi' and z phi' in SLSQP's rows, where 0 mass * inf is nan
 _CAP = 1e200
+# the root-finder's relative width for the norm of a unit atom: a few ulp
+_UNIT_TOL = 1e-15
 
 
 def prior_norm_bound(phi: OrliczFunction) -> float:
-    """Upper bound (1-b)/a on the operator norm of E_P[|.|] on L^phi(P).
-
-    Uses the affine minorant a x + b <= phi(x): the level set
-    E_P[phi(|X|/lam)] <= 1 forces E_P[|X|] <= lam (1-b)/a.
-    """
-    m = phi.affine_minorant()
-    return (1.0 - m.b) / m.a
+    """The exact operator norm sup{E_P|X| : ||X||_{L^phi(P)} <= 1} of any
+    prior P: sup{x : phi(x) <= 1} = 1 / ||1||_phi by Jensen's inequality,
+    from the kernel's norm of a unit atom. ValidationError where it is 0
+    or inf (||1||_phi outside the kernel's range of lam)."""
+    one = np.ones(1)
+    [(norm, _)] = _block_norms([one], one, 1.0, phi, _UNIT_TOL, MAX_ITER)
+    bound = 1.0 / norm
+    if not 0.0 < bound < INF:
+        raise ValidationError(f"the operator norm of a prior under {phi!r} is {bound!r}")
+    return bound
 
 
 def kothe_dual_norm(mu, prior: np.ndarray, phi: OrliczFunction,
@@ -89,6 +94,8 @@ def kothe_dual_norm(mu, prior: np.ndarray, phi: OrliczFunction,
         raise ValidationError("measure masses must be finite")
     if np.any(m < 0):
         raise ValidationError("kothe_dual_norm expects a nonnegative measure")
+    if not (np.isfinite(prior).all() and (prior >= 0).all()):
+        raise ValidationError("prior masses must be finite and nonnegative")
     if np.any(m[prior == 0.0] != 0.0):
         raise ValidationError("measure is not absolutely continuous w.r.t. the prior")
     if not np.any(m > 0):

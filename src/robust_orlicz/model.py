@@ -60,7 +60,9 @@ class ScenarioModel:
     once per group. `support_classes` partitions the indices of
     `prior_groups` by equal supports (the atoms a prior charges), in the
     same order; priors of one class keep the same atoms for any X. Only
-    the indices are kept.
+    the indices are kept. A float prior array, or a row of a 2-D one,
+    that sums to 1 within `PROB_SUM_TOL` is kept without a copy, as a
+    read-only view: pass a copy to keep writing to the array.
     """
 
     atoms: tuple
@@ -80,8 +82,11 @@ class ScenarioModel:
             raise ValidationError("a model needs at least one prior")
         try:
             stacked = np.asarray(priors, dtype=float)
-        except ValueError:  # ragged, or masses that are no numbers (which raise here)
-            stacked = [np.asarray(p, dtype=float) for p in priors]
+        except (TypeError, ValueError):  # ragged, or masses that are no real numbers
+            try:
+                stacked = [np.asarray(p, dtype=float) for p in priors]
+            except (TypeError, ValueError):
+                raise ValidationError("prior masses must be real numbers") from None
         if not isinstance(stacked, np.ndarray) or stacked.shape != (len(priors), len(atoms)):
             raise ValidationError("prior length does not match atom count")
         if not np.isfinite(stacked).all():
@@ -177,7 +182,10 @@ def canonicalise(model: ScenarioModel, x) -> RandomVariable:
 
     NaN entries are rejected; +-inf entries are valid values.
     """
-    v = x.values if isinstance(x, RandomVariable) else np.asarray(x, dtype=float)
+    try:
+        v = x.values if isinstance(x, RandomVariable) else np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("random variable values must be real numbers") from None
     if v.shape != (model.n_atoms,):
         raise ValidationError("random variable length does not match atom count")
     if np.isnan(v).any():

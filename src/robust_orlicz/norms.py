@@ -281,10 +281,13 @@ def _prior_modulars(plan: _Plan, abs_x: np.ndarray, s: float) -> Dict[str, float
 
 
 def _single_prior_input(prior, x) -> tuple:
-    """prior and X as float arrays, checked to be of one shape, X without NaN."""
+    """prior and X as float arrays, checked to be of one shape, the prior
+    finite and nonnegative, X without NaN."""
     prior, x = np.asarray(prior, dtype=float), np.asarray(x, dtype=float)
     if x.shape != prior.shape:
         raise ValidationError(f"random variable of shape {x.shape} for a prior of {prior.shape}")
+    if not (np.isfinite(prior).all() and (prior >= 0).all()):
+        raise ValidationError("prior masses must be finite and nonnegative")
     if np.isnan(x).any():
         raise ValidationError("random variable has NaN entries")
     return prior, x

@@ -1,4 +1,4 @@
-"""Orlicz functions: evaluation, conjugates, derivatives, affine minorants.
+"""Orlicz functions: evaluation, conjugates, derivatives, closed-form norms.
 
 An Orlicz function here is a lower semicontinuous, nondecreasing, convex
 map phi: [0, inf) -> [0, inf] with phi(0) = 0 that is finite at some
@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .scalar import bisect_threshold
 
 INF = math.inf
 # step ratio of the golden-section search in the numeric conjugate
@@ -81,17 +80,6 @@ class Magnitudes(np.ndarray):
         return log
 
 
-@dataclass(frozen=True)
-class AffineMinorant:
-    """A line a*x + b with a > 0, b <= 0 lying below an Orlicz function."""
-
-    a: float
-    b: float
-
-    def __call__(self, x: float) -> float:
-        return self.a * x + self.b
-
-
 class OrliczFunction:
     """Base class. Subclasses implement `_eval_array` and `domain_bound`.
 
@@ -106,13 +94,10 @@ class OrliczFunction:
     of those, and no subclass overrides them. Optional closed-form hooks:
     `luxemburg_closed_form` (fallback None, so root-finding, except at a
     domain bound), `conjugate_minimisers` (fallback None, so the dual norm
-    searches for its k), `affine_pieces` (fallback None),
-    `homogeneity_degree` and `asymptotic_slope`.
+    searches for its k), `affine_pieces` (fallback None) and
+    `asymptotic_slope`. The dominating measure weights each prior by the
+    exact operator norm sup{x : phi(x) <= 1} = 1 / ||1||_phi.
     """
-
-    #: d with phi(t x) = t**d phi(x) for all t > 0 (inf for a 0/inf
-    #: indicator), or None when phi is not positively homogeneous
-    homogeneity_degree: Optional[float] = None
 
     #: lim phi(x)/x as x -> inf (inf for superlinear phi), or None when not
     #: known; phi* is infinite above it
@@ -297,37 +282,6 @@ class OrliczFunction:
             slope = (hi - self._eval_array(xs)) / h
         return np.where(hi == INF, INF, slope)
 
-    # -- affine minorant --------------------------------------------------
-
-    def affine_minorant(self) -> AffineMinorant:
-        """Line a*x + b <= phi with a > 0, b <= 0.
-
-        Constructed as a subgradient at the point where phi first reaches 1
-        (or at the domain bound if phi jumps to infinity before that).
-        """
-        bound = self.domain_bound
-        if math.isfinite(bound) and self(bound) < 1.0:
-            x1 = bound
-            a = (self(x1) + 1.0) / x1
-            # the line through (x1, phi(x1)) stays below phi only if it is
-            # at least as steep as phi just left of x1
-            left = self.right_derivative(x1 * (1.0 - 1e-12))
-            if left < INF:
-                a = max(a, left)
-        else:
-            hi = min(1.0, bound / 2.0) if math.isfinite(bound) else 1.0
-            while self(hi) < 1.0:
-                hi = min(2.0 * hi, bound) if math.isfinite(bound) else 2.0 * hi
-                if hi >= _BRACKET_CAP:
-                    raise ValidationError("Orlicz function never reaches level 1")
-            lo = 0.0
-            lo, x1, _ = bisect_threshold(lambda t: self(t) >= 1.0, lo, hi)
-            a = self.right_derivative(x1)
-            if a == INF or a <= 0.0:
-                a = (self(x1) + 1.0) / x1
-        b = min(0.0, self(x1) - a * x1)
-        return AffineMinorant(a=a, b=b)
-
     # -- validation -------------------------------------------------------
 
     def _check_nontrivial(self) -> None:
@@ -371,10 +325,6 @@ class Power(OrliczFunction):
     def domain_bound(self) -> float:
         return INF
 
-    @property
-    def homogeneity_degree(self) -> float:
-        return self.p
-
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         return x ** self.p
 
@@ -415,10 +365,6 @@ class Power(OrliczFunction):
         # float_power rounds as Python's float ** does; numpy's ** may not
         with np.errstate(over="ignore"):
             return self.p * np.float_power(x, self.p - 1.0)
-
-    def affine_minorant(self) -> AffineMinorant:
-        # the tangent at x = 1, where x**p first reaches 1
-        return AffineMinorant(a=float(self.p), b=min(0.0, 1.0 - self.p))
 
 
 @dataclass(frozen=True)
@@ -472,8 +418,6 @@ class Exponential(OrliczFunction):
 @dataclass(frozen=True)
 class EssSupIndicator(OrliczFunction):
     """phi(x) = inf * 1_{(1, inf)}(x); its Luxemburg norm is the ess-sup."""
-
-    homogeneity_degree = INF
 
     @property
     def domain_bound(self) -> float:
@@ -645,10 +589,6 @@ class Scaled(OrliczFunction):
         return self.inner.domain_bound / self.theta
 
     @property
-    def homogeneity_degree(self) -> Optional[float]:
-        return self.inner.homogeneity_degree
-
-    @property
     def _reads_log(self) -> bool:
         return self.inner._reads_log
 
@@ -662,12 +602,10 @@ class Scaled(OrliczFunction):
         return self.inner._eval_scaled(x, theta) / self.one_plus_gamma
 
     def luxemburg_closed_form(self, weights: np.ndarray, abs_x: np.ndarray):
-        # dividing a degree-d function by c divides its norm by c**(1/d)
-        degree = self.inner.homogeneity_degree
-        base = None if degree is None else self.inner.luxemburg_closed_form(weights, abs_x)
-        if base is None:
-            return super().luxemburg_closed_form(weights, abs_x)
-        return self.theta * base / self.one_plus_gamma ** (1.0 / degree)
+        # sum w inner(theta y / lam) / d <= 1 is the inner modular under
+        # w / d at lam / theta, so the norm is theta times the inner norm
+        base = self.inner.luxemburg_closed_form(weights / self.one_plus_gamma, abs_x)
+        return None if base is None else self.theta * base
 
     def affine_pieces(self):
         pieces, d = self.inner.affine_pieces(), self.one_plus_gamma

@@ -131,15 +131,17 @@ class TestClosedForms:
             top = float(np.max(abs_x[pos]))
             y = abs_x[pos] / top
             if y.size < orlicz._LOG_ROUTE_MIN_SIZE:
-                unit = float(np.dot(prior[pos], y ** p) ** (1.0 / p))
+                powers = y ** p
             else:
                 # y**p as exp(p log y)
                 with np.errstate(divide="ignore"):
                     powers = np.exp(p * np.log(y))
-                unit = float(np.dot(prior[pos], powers) ** (1.0 / p))
+            unit = float(np.dot(prior[pos], powers) ** (1.0 / p))
+            # Scaled: theta times the inner norm under the masses / d
+            unit_d = float(np.dot(prior[pos] / d, powers) ** (1.0 / p))
             assert single_prior_luxemburg(prior, Power(p), x) == top * unit
             assert (single_prior_luxemburg(prior, Scaled(Power(p), theta, d), x)
-                    == top * (theta * unit / d ** (1.0 / p)))
+                    == top * (theta * unit_d))
             assert single_prior_luxemburg(prior, EssSupIndicator(), x) == top
             assert (single_prior_luxemburg(prior, Scaled(EssSupIndicator(), theta, d), x)
                     == theta * top)
@@ -155,7 +157,7 @@ class TestClosedForms:
         lam = closed * (1 + 1e-9)
         assert modular(m, x, lam, fam) <= 1.0 < modular(m, x, closed * (1 - 1e-9), fam)
 
-    def test_no_closed_form_without_homogeneity(self):
+    def test_no_closed_form_without_an_inner_one(self):
         phi = Scaled(Exponential(1.0), 2.0, 1.5)
         assert phi.luxemburg_closed_form(np.array([1.0]), np.array([1.0])) is None
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_orlicz import (EssSupIndicator, Exponential, OrliczFunction,
-                           PiecewiseLinear, Power, Scaled, ValidationError,
-                           validate_orlicz)
+from robust_orlicz import (EssSupIndicator, Exponential, PiecewiseLinear,
+                           Power, Scaled, ValidationError, validate_orlicz)
 
 from conftest import random_phi
 
@@ -117,37 +116,6 @@ class TestConjugate:
             assert biconjugate(x) == pytest.approx(phi(x), abs=1e-6)
 
 
-class TestAffineMinorant:
-    def test_power1(self):
-        m = Power(1).affine_minorant()
-        assert m.a == pytest.approx(1.0, rel=1e-6)
-        assert m.b == pytest.approx(0.0, abs=1e-6)
-
-    def test_power2_tangent_at_one(self):
-        m = Power(2).affine_minorant()
-        assert m.a == pytest.approx(2.0, rel=1e-6)
-        assert m.b == pytest.approx(-1.0, rel=1e-6)
-
-    def test_ess_sup(self):
-        m = EssSupIndicator().affine_minorant()
-        assert m.a == pytest.approx(1.0, rel=1e-9)
-        assert m.b == pytest.approx(-1.0, rel=1e-9)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_minorant_below_phi_on_grid(self, seed):
-        rng = np.random.default_rng(seed)
-        phi = random_phi(rng)
-        m = phi.affine_minorant()
-        assert m.a > 0 and m.b <= 0
-        bound = phi.domain_bound
-        hi = bound if math.isfinite(bound) else 50.0
-        grid = np.linspace(0.0, hi, 10_000)
-        vals = phi(grid)
-        line = m.a * grid + m.b
-        assert np.all(line <= vals + 1e-12 * np.maximum(1.0, np.abs(vals)))
-
-
 class TestConvexity:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.01, 0.99))
@@ -168,14 +136,3 @@ class TestConvexity:
                     PiecewiseLinear([0.0, 1.0], [0.5, 2.0]),
                     Scaled(Power(2), 1.5, 2.0)]:
             validate_orlicz(phi)
-
-
-class TestPowerAffineMinorant:
-    def test_closed_form_equals_numeric_route(self):
-        rng = np.random.default_rng(504)
-        exponents = [1, 1.0, 2, 40.0] + [float(p) for p in rng.uniform(1.0, 40.0, size=200)]
-        for p in exponents:
-            phi = Power(p)
-            closed = phi.affine_minorant()
-            assert closed == OrliczFunction.affine_minorant(phi)
-            assert type(closed.a) is float and type(closed.b) is float
