@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import MeasureVector, ScenarioModel, canonicalise
+from .model import MeasureVector, ScenarioModel, canonicalise, real_array
 from .norms import DEFAULT_TOL, OrliczFamily, _plan, _prior_modulars, sup_prior_norms
 
 INF = math.inf
@@ -198,7 +198,7 @@ def tail_membership(ladder: Sequence[Truncation],
     """
     if not ladder:
         raise ValidationError("empty truncation ladder")
-    levels = [float(l) for l in levels]
+    levels = [float(l) for l in real_array(levels, "levels")]
     if not levels:
         raise ValidationError("need at least one level")
     if np.isnan(levels).any():

@@ -17,7 +17,7 @@ import numpy as np
 
 from .duality import prior_norm_bound
 from .errors import ValidationError
-from .model import MeasureVector, ScenarioModel
+from .model import MeasureVector, ScenarioModel, real_array
 from .norms import OrliczFamily
 
 
@@ -85,12 +85,12 @@ def uniform_integrability_report(model: ScenarioModel, pstar,
     Nonincreasing in c and exactly 0 once c reaches the largest density,
     which is reported alongside the per-prior densities.
     """
-    p = pstar.masses if isinstance(pstar, MeasureVector) else np.asarray(pstar, dtype=float)
+    p = real_array(pstar, "dominating measure masses")
     if p.shape != (model.n_atoms,):
         raise ValidationError("dominating measure length does not match atom count")
     if not (np.isfinite(p).all() and (p >= 0).all()):
         raise ValidationError("dominating measure masses must be finite and nonnegative")
-    c_grid = [float(c) for c in c_grid]
+    c_grid = [float(c) for c in real_array(c_grid, "c_grid")]
     if np.isnan(c_grid).any():
         raise ValidationError("c_grid must not contain NaN")
     if any(b < a for a, b in zip(c_grid, c_grid[1:])):

@@ -40,7 +40,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .model import MeasureVector, RandomVariable, ScenarioModel, canonicalise
+from .model import MeasureVector, RandomVariable, ScenarioModel, canonicalise, real_array
 from .norms import (DEFAULT_TOL, MAX_ITER, NormResult, OrliczFamily, _block_norms,
                     _check_tol, luxemburg_norm, single_prior_luxemburg)
 from .orlicz import OrliczFunction, Scaled
@@ -62,8 +62,8 @@ _UNIT_TOL = 1e-15
 def prior_norm_bound(phi: OrliczFunction) -> float:
     """The exact operator norm sup{E_P|X| : ||X||_{L^phi(P)} <= 1} of any
     prior P: sup{x : phi(x) <= 1} = 1 / ||1||_phi by Jensen's inequality,
-    from the kernel's norm of a unit atom. ValidationError where it is 0
-    or inf (||1||_phi outside the kernel's range of lam)."""
+    from the kernel's norm of a unit atom. ValidationError where it is 0 or
+    inf (||1||_phi past the kernel's range of lam, [2**-1023, 2**1023])."""
     one = np.ones(1)
     [(norm, _)] = _block_norms([one], one, 1.0, phi, _UNIT_TOL, MAX_ITER)
     bound = 1.0 / norm
@@ -85,8 +85,7 @@ def kothe_dual_norm(mu, prior: np.ndarray, phi: OrliczFunction,
     if method not in ("conjugate", "brute", "both"):
         raise ValidationError(f"unknown method {method!r}")
     _check_tol(tol, MAX_ITER)
-    m = mu.masses if isinstance(mu, MeasureVector) else np.asarray(mu, dtype=float)
-    prior = np.asarray(prior, dtype=float)
+    m, prior = real_array(mu, "measure masses"), real_array(prior, "prior masses")
     if m.shape != prior.shape:
         raise ValidationError(
             f"measure has shape {m.shape}, the prior has shape {prior.shape}")
@@ -178,8 +177,8 @@ def _dual_norm_brute(m: np.ndarray, prior: np.ndarray, phi: OrliczFunction,
 
     top = float(m.max())
     mu, p = m[m > 0.0] / top, prior[m > 0.0]
-    sigma = np.array([1.0 / single_prior_luxemburg(p[j:j + 1], phi, [1.0], tol)
-                      for j in range(p.size)])
+    sigma = 1.0 / np.array(_block_norms([p[j:j + 1] for j in range(p.size)], np.ones(1), 1.0,
+                                        phi, tol, MAX_ITER))[:, 0]
     c = mu * sigma
     vertex = float(c.max())  # the best vertex, the floor of the lower bound
     n, total = p.size, float(p.sum())
@@ -302,6 +301,10 @@ def canonical_projection(model: ScenarioModel, x, label: str) -> RandomVariable:
 
 @dataclass
 class L1ReductionReport:
+    """alpha = min_P sup{x : phi_P(x) <= 1} exactly (`prior_norm_bound`),
+    so kappa = ||1|| = 1 / alpha up to tol; `mass_bound_ok`: every witness
+    mass is at most (1 + 1e-8) / alpha. `applicable` is always True."""
+
     applicable: bool
     reason: str
     kappa: float
@@ -313,15 +316,6 @@ class L1ReductionReport:
     witnesses: List[dict] = field(default_factory=list)
 
 
-def _phi_max_alpha(family: OrliczFamily) -> Optional[float]:
-    """The largest alpha = 2**-k, k < 200, with sup_P phi_P(alpha) <= 1,
-    or None; one evaluation per distinct phi object."""
-    alphas = 2.0 ** -np.arange(200.0)
-    distinct = {id(phi): phi for phi in family.functions.values()}.values()
-    fits = np.flatnonzero(np.max([phi(alphas) for phi in distinct], axis=0) <= 1.0)
-    return float(alphas[fits[0]]) if fits.size else None
-
-
 def verify_l1_reduction(model: ScenarioModel, family: OrliczFamily,
                         sample_size: int = 100, tol: float = DEFAULT_TOL,
                         seed: int = 0) -> L1ReductionReport:
@@ -331,25 +325,19 @@ def verify_l1_reduction(model: ScenarioModel, family: OrliczFamily,
     with weight theta(Q) = mass of the witness; the pool must recover
     every sampled norm as sup_Q theta(Q) E_Q|X| with relative gap below
     1e-6, and kappa = ||1|| must dominate ||X|| / ess-sup|X|. The sups
-    come from one product of the pool's measures with the samples.
+    come from one product of the pool's measures with the samples. alpha
+    is the least `prior_norm_bound` of the distinct phi of the model's priors.
     """
     if sample_size < 1:
         raise ValidationError("sample_size must be at least 1")
     family.check_model(model)
-    alpha = _phi_max_alpha(family)
-    if alpha is None:
-        return L1ReductionReport(
-            applicable=False,
-            reason="sup_P phi_P is infinite on (0, inf); no weighted-L1 form",
-            kappa=INF, alpha=0.0, max_rel_gap=INF, kappa_bound_ok=False,
-            mass_bound_ok=False, n_samples=0)
-
+    distinct = {id(phi): phi for phi in map(family.phi, model.prior_labels)}.values()
+    alpha = min(map(prior_norm_bound, distinct))
     kappa = luxemburg_norm(model, np.ones(model.n_atoms), family, tol=tol).value
     rng = np.random.default_rng(seed)
     support = model.support_mask
 
     qs, thetas, abs_xs, values = [], [], [], []
-    mass_ok = True
     for _ in range(sample_size):
         x = np.abs(rng.normal(size=model.n_atoms)) + 0.05
         x *= rng.integers(1, 4)
@@ -358,20 +346,19 @@ def verify_l1_reduction(model: ScenarioModel, family: OrliczFamily,
             continue
         w = dual_witness(model, x, family, tol=tol, norm_result=res)
         mass = w.measure.total_mass
-        if mass > 1.0 / alpha + 1e-8:
-            mass_ok = False
         qs.append(w.measure.masses / mass)
         thetas.append(mass)
         abs_xs.append(np.where(support, np.abs(x), 0.0))
         values.append(res.value)
 
     # theta(Q_i) E_{Q_i}|X_j| for every witness i and sample j at once
-    n = model.n_atoms
+    n, theta = model.n_atoms, np.array(thetas)
     abs_xs, values = np.reshape(abs_xs, (-1, n)), np.array(values)
-    pairs = np.array(thetas)[:, None] * (np.reshape(qs, (-1, n)) @ abs_xs.T)
+    pairs = theta[:, None] * (np.reshape(qs, (-1, n)) @ abs_xs.T)
     sup_pair = pairs.max(axis=0, initial=-INF)
     max_gap = float(np.max(np.abs(values - sup_pair) / values, initial=0.0))
     kappa_ok = not np.any(values > kappa * abs_xs.max(axis=1) * (1.0 + 1e-8))
+    mass_ok = not np.any(theta > (1.0 + 1e-8) / alpha)
 
     return L1ReductionReport(
         applicable=True, reason="sup_P phi_P finite at some positive point",

@@ -62,7 +62,8 @@ class ScenarioModel:
     same order; priors of one class keep the same atoms for any X. Only
     the indices are kept. A float prior array, or a row of a 2-D one,
     that sums to 1 within `PROB_SUM_TOL` is kept without a copy, as a
-    read-only view: pass a copy to keep writing to the array.
+    read-only view, and the array is made read-only: pass a copy to keep
+    writing to it.
     """
 
     atoms: tuple
@@ -103,8 +104,6 @@ class ScenarioModel:
         # a float array stays itself: a list of them is stacked only to be checked
         mats = [row / s if d > PROB_SUM_TOL else p if type(p) is np.ndarray and p.dtype == float
                 else row for p, row, s, d in zip(priors, stacked, sums, off)]
-        for v in mats:
-            v.setflags(write=False)
         # dividing by a sum within 1e-9 of 1 keeps every positive mass positive
         charged = stacked > 0.0
         support = charged.any(axis=0)
@@ -114,6 +113,9 @@ class ScenarioModel:
             prior_labels = tuple(str(l) for l in prior_labels)
             if len(prior_labels) != len(mats) or len(set(prior_labels)) != len(mats):
                 raise ValidationError("prior labels must be unique and match the prior count")
+        # read-only once every check passed; a 2-D float array too, its rows are views of it
+        for v in [stacked, *mats]:
+            v.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "priors", tuple(mats))
         object.__setattr__(self, "prior_labels", prior_labels)
@@ -177,15 +179,20 @@ class RandomVariable:
         return RandomVariable(np.abs(self.values), canonical=self.canonical)
 
 
+def real_array(x, what: str) -> np.ndarray:
+    """x (a MeasureVector's masses) as floats, else ValidationError."""
+    try:
+        return x.masses if isinstance(x, MeasureVector) else np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be real numbers") from None
+
+
 def canonicalise(model: ScenarioModel, x) -> RandomVariable:
     """Zero a random variable on the polar set; idempotent.
 
     NaN entries are rejected; +-inf entries are valid values.
     """
-    try:
-        v = x.values if isinstance(x, RandomVariable) else np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError("random variable values must be real numbers") from None
+    v = x.values if isinstance(x, RandomVariable) else real_array(x, "random variable values")
     if v.shape != (model.n_atoms,):
         raise ValidationError("random variable length does not match atom count")
     if np.isnan(v).any():
@@ -230,10 +237,10 @@ def expectation(weights, g) -> float:
     `weights` must be nonnegative (signed integration lives in the duality
     module); returns inf as soon as a positive-mass entry hits g = inf.
     """
-    w = weights.masses if isinstance(weights, MeasureVector) else np.asarray(weights, dtype=float)
+    w = real_array(weights, "measure masses")
     if np.any(w < 0):
         raise ValidationError("expectation requires a nonnegative measure")
-    gv = np.asarray(g, dtype=float)
+    gv = real_array(g, "random variable values")
     pos = w > 0.0
     if np.any(np.isinf(gv[pos])):
         return math.inf

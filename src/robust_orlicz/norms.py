@@ -60,7 +60,7 @@ from typing import (Callable, Dict, Generator, Iterable, Iterator, Mapping, Opti
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .model import ScenarioModel, canonicalise, expectation
+from .model import ScenarioModel, canonicalise, expectation, real_array
 from .orlicz import EssSupIndicator, Magnitudes, OrliczFunction, Power, Scaled
 
 INF = math.inf
@@ -68,7 +68,7 @@ INF = math.inf
 DEFAULT_TOL = 1e-10
 MAX_ITER = 200
 _LAMBDA_CAP = 2.0 ** 1023
-_LAMBDA_FLOOR = 1e-300
+_LAMBDA_FLOOR = 1.0 / _LAMBDA_CAP
 # half-width of the certified bracket in units of tol * max(1, value): the
 # single-prior norms are within tol / 4 of theirs, so its ends straddle
 # the norm with a margin, and it is narrower than tol
@@ -283,7 +283,7 @@ def _prior_modulars(plan: _Plan, abs_x: np.ndarray, s: float) -> Dict[str, float
 def _single_prior_input(prior, x) -> tuple:
     """prior and X as float arrays, checked to be of one shape, the prior
     finite and nonnegative, X without NaN."""
-    prior, x = np.asarray(prior, dtype=float), np.asarray(x, dtype=float)
+    prior, x = real_array(prior, "prior masses"), real_array(x, "random variable values")
     if x.shape != prior.shape:
         raise ValidationError(f"random variable of shape {x.shape} for a prior of {prior.shape}")
     if not (np.isfinite(prior).all() and (prior >= 0).all()):
@@ -317,8 +317,10 @@ def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily) -> float:
 
 def _ladder() -> Generator[float, float, tuple]:
     """The bracketing ladder of `_norm_bisection`: halves or doubles lam
-    from 1 until a nonincreasing modular crosses 1. It yields each lam to
-    evaluate and is sent the modular there; it returns
+    from 1 until a nonincreasing modular crosses 1, within [_LAMBDA_FLOOR,
+    _LAMBDA_CAP] = [2**-1023, 2**1023] in units of max|X| (the kernels read
+    y = |X| / max|X|), the powers of 2 whose reciprocals are finite. It
+    yields each lam to evaluate and is sent the modular there; it returns
     (lo, m_lo, hi, m_hi, steps) with m_lo > 1 >= m_hi, where
     lo < _LAMBDA_FLOOR (m_lo None) means the modular stays <= 1 down to
     there and hi > _LAMBDA_CAP (m_hi None) that it stays > 1 up to there.

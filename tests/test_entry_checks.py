@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from robust_orlicz import (OrliczFamily, Power, ScenarioModel, ValidationError,
-                           kothe_dual_norm, luxemburg_norm, single_prior_luxemburg,
+from robust_orlicz import (OrliczFamily, Power, ScenarioModel, Truncation, ValidationError,
+                           expectation, kothe_dual_norm, luxemburg_norm,
+                           single_prior_luxemburg, tail_membership,
                            uniform_integrability_report)
 from robust_orlicz.norms import single_prior_modular
 
@@ -62,3 +63,25 @@ def test_random_variable_values_must_be_real_numbers(x):
     m = ScenarioModel(["a", "b"], [[0.5, 0.5]])
     with pytest.raises(ValidationError, match="real numbers"):
         luxemburg_norm(m, x, OrliczFamily.uniform(m, Power(2.0)))
+
+
+M2 = ScenarioModel(["a", "b"], [[0.5, 0.5], [1.0, 0.0]])
+LADDER = [Truncation(model=M2, x=np.array([1.0, 2.0]), family=OrliczFamily.uniform(M2, Power(2.0)))]
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: single_prior_luxemburg(["x", 1.0], Power(2.0), [1.0, 1.0]), "prior masses"),
+    (lambda: single_prior_luxemburg([0.5, 0.5], Power(2.0), [1j, 1.0]), "random variable values"),
+    (lambda: single_prior_modular(["x", 1.0], Power(2.0), [1.0, 1.0], 1.0), "prior masses"),
+    (lambda: kothe_dual_norm(["x", 1], [0.5, 0.5], Power(2.0)), "measure masses"),
+    (lambda: kothe_dual_norm([1.0, 1.0], [0.5, "y"], Power(2.0)), "prior masses"),
+    (lambda: uniform_integrability_report(M2, [0.5, 0.5], ["x"]), "c_grid"),
+    (lambda: uniform_integrability_report(M2, ["x", 0.5], [1.0]), "dominating measure masses"),
+    (lambda: tail_membership(LADDER, [0.5, "x"]), "levels"),
+    (lambda: expectation(["x", 0.5], [1.0, 1.0]), "measure masses"),
+    (lambda: expectation([0.5, 0.5], [1.0, [2.0]]), "random variable values"),
+], ids=["luxemburg-prior", "luxemburg-x", "modular-prior", "dual-mu", "dual-prior",
+        "ui-c-grid", "ui-pstar", "tails-levels", "expectation-weights", "expectation-g"])
+def test_entry_points_want_real_numbers(call, what):
+    with pytest.raises(ValidationError, match=f"^{what} must be real numbers$"):
+        call()

@@ -95,6 +95,19 @@ class TestScenarioModel:
         stacked = rng.dirichlet(np.ones(5), size=3)
         assert all(v.base is stacked for v in ScenarioModel(list("abcde"), stacked).priors)
 
+    def test_a_float_2d_prior_array_is_made_read_only(self):
+        a = np.array([[0.5, 0.5], [1.0, 0.0]])
+        m = ScenarioModel(["x", "y"], a)
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.9
+        np.testing.assert_array_equal(m.priors[0], [0.5, 0.5])
+
+    def test_a_rejected_model_leaves_the_prior_array_writable(self):
+        a = np.array([[0.5, 0.5], [1.0, 0.0]])
+        with pytest.raises(ValidationError):
+            ScenarioModel(["x", "y"], a, prior_labels=["p", "p"])
+        a[0, 0] = 0.9
+
     def test_prior_lookup(self):
         m = ScenarioModel(["a", "b"], [[1, 0], [0, 1]])
         np.testing.assert_array_equal(m.prior("P2"), [0, 1])

@@ -72,10 +72,12 @@ class TestPriorNormBound:
         tiny = prior_norm_bound(Scaled(Exponential(1.0), 1e305))
         assert tiny == pytest.approx(math.log(2.0) / 1e305, rel=1e-15)
         assert prior_norm_bound(Scaled(Power(2.0), 1e-305)) == pytest.approx(1e305, rel=1e-15)
-        # ||1|| below the kernel's smallest lam, and above its largest
-        for theta in (1e-305, 1e308):
-            with pytest.raises(ValidationError):
-                prior_norm_bound(Scaled(Exponential(1.0), theta))
+        # ||1|| = 1e-305 / ln 2 sits above the kernel's smallest lam, 2**-1023
+        huge = prior_norm_bound(Scaled(Exponential(1.0), 1e-305))
+        assert huge == pytest.approx(math.log(2.0) * 1e305, rel=1e-10)
+        # ||1|| above the kernel's largest lam
+        with pytest.raises(ValidationError):
+            prior_norm_bound(Scaled(Exponential(1.0), 1e308))
 
     def test_dominating_measure_at_an_extreme_scale(self):
         m = ScenarioModel(["a", "b"], [[0.5, 0.5], [1.0, 0.0]])

@@ -1,7 +1,7 @@
 """One phi evaluation per decision: exact membership in the intersection
-space, loop-free Orlicz validation, the alpha of the weighted-L1 form and
-the pool's sups from one array call each; the Gaussian grid cap and the
-tails report's empty-level and slope rules."""
+space, loop-free Orlicz validation and the pool's sups from one array
+call each; the Gaussian grid cap and the tails report's empty-level and
+slope rules."""
 
 import json
 import math
@@ -190,38 +190,6 @@ def test_agent_normalisation_messages(utility, message):
     with pytest.raises(ValidationError) as e:
         Agent(utility, ["P"], {"P": 0.0})
     assert str(e.value) == message
-
-
-# -- the alpha of the weighted-L1 form ------------------------------------
-
-
-def _reference_alpha(family):
-    for k in range(200):
-        if family.phi_max(2.0 ** -k) <= 1.0:
-            return 2.0 ** -k
-    return None
-
-
-def test_phi_max_alpha_matches_scalar_loop():
-    rng = np.random.default_rng(1202)
-    families = [random_family(rng, random_model(rng)) for _ in range(40)]
-    model = random_model(rng, n_priors=3)
-    families += [OrliczFamily.uniform(model, Scaled(EssSupIndicator(), 2.0 ** 300)),
-                 OrliczFamily.uniform(model, Exponential(8.0)),
-                 OrliczFamily.uniform(model, Scaled(Power(3.0), 2.0 ** 50))]
-    alphas = [duality._phi_max_alpha(f) for f in families]
-    assert alphas == [_reference_alpha(f) for f in families]
-    assert alphas[-3:] == [None, 2.0 ** -4, 2.0 ** -50]
-
-
-def test_phi_max_alpha_evaluates_each_distinct_phi_once(monkeypatch):
-    calls = []
-    inner = Exponential._eval_array
-    monkeypatch.setattr(Exponential, "_eval_array",
-                        lambda self, x: calls.append(x.size) or inner(self, x))
-    model = ScenarioModel(["a", "b"], [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-    duality._phi_max_alpha(OrliczFamily.uniform(model, Exponential(8.0)))
-    assert calls == [200]
 
 
 # -- the weighted-L1 reduction's sups -------------------------------------
