@@ -29,13 +29,13 @@ folds 1 / lam into phi's own rates rather than dividing |X| by lam
 first, and takes one dot product with each prior's masses (`_modulars`):
 in the certificate's joint modular, in `modular`, and in the bracketing
 ladders of the single-prior root-finders, which run in lockstep over the
-block from lam = 1 (`_brackets`); the Illinois steps after them stay per
-prior. Each value and each dot product is the same arithmetic as for the
-prior alone, so per-prior norms, step counts, brackets and modulars are
-bit-identical to it. phi may overflow to inf: every caller of
-`_modulars` enters np.errstate(over="ignore") once around its
-evaluations, while the closed forms enter none. A block holds at most
-one phi evaluation. `_plan` builds the blocks once per public call, for
+block from lam = 1 and gallop past 2**+-64 (`_brackets`); the Illinois
+steps after them stay per prior. Each value and each dot product is the
+same arithmetic as for the prior alone, so per-prior norms, step counts,
+brackets and modulars are bit-identical to it. phi may overflow to inf:
+every caller of `_modulars` enters np.errstate(over="ignore") once
+around its evaluations, while the closed forms enter none. A block holds
+at most one phi evaluation. `_plan` builds the blocks once per public call, for
 the sup and the certificate both, as they depend on the model and
 family alone; `_blocks` walks them for one X and says how it gathers.
 
@@ -54,8 +54,8 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from typing import (Callable, Dict, Generator, Iterable, Iterator, Mapping, Optional,
-                    Sequence, Tuple)
+from numbers import Real
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -118,24 +118,21 @@ class OrliczFamily:
     @staticmethod
     def additively_penalised(model: ScenarioModel, phi: OrliczFunction,
                              gamma: Mapping[str, float]) -> "OrliczFamily":
-        _check_gamma(model, gamma)
-        return OrliczFamily({l: Scaled(phi, 1.0, 1.0 + float(gamma[l]))
-                             for l in model.prior_labels})
+        gamma = _check_gamma(model, gamma)
+        return OrliczFamily({l: Scaled(phi, 1.0, 1.0 + gamma[l]) for l in model.prior_labels})
 
     @staticmethod
     def multiplicatively_weighted(model: ScenarioModel, phi: OrliczFunction,
                                   theta: Mapping[str, float]) -> "OrliczFamily":
-        _check_labels(model, theta, "theta")
-        return OrliczFamily({l: Scaled(phi, float(theta[l]), 1.0)
-                             for l in model.prior_labels})
+        theta = _label_floats(model, theta, "theta")
+        return OrliczFamily({l: Scaled(phi, theta[l], 1.0) for l in model.prior_labels})
 
     @staticmethod
     def doubly_penalised(model: ScenarioModel, phi: OrliczFunction,
                          theta: Mapping[str, float],
                          gamma: Mapping[str, float]) -> "OrliczFamily":
-        _check_labels(model, theta, "theta")
-        _check_gamma(model, gamma)
-        return OrliczFamily({l: Scaled(phi, float(theta[l]), 1.0 + float(gamma[l]))
+        theta, gamma = _label_floats(model, theta, "theta"), _check_gamma(model, gamma)
+        return OrliczFamily({l: Scaled(phi, theta[l], 1.0 + gamma[l])
                              for l in model.prior_labels})
 
     @staticmethod
@@ -145,16 +142,24 @@ class OrliczFamily:
                              for i, l in enumerate(model.prior_labels)})
 
 
-def _check_labels(model: ScenarioModel, mapping: Mapping[str, float], name: str) -> None:
+def _label_floats(model: ScenarioModel, mapping: Mapping[str, float],
+                  name: str) -> Dict[str, float]:
+    """`mapping` (label -> number) with float values, else ValidationError:
+    it must name every prior of `model`, with real numbers."""
     missing = [l for l in model.prior_labels if l not in mapping]
     if missing:
         raise ValidationError(f"{name} misses priors {missing}")
+    try:
+        return {l: float(v) for l, v in mapping.items()}
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be real numbers") from None
 
 
-def _check_gamma(model: ScenarioModel, gamma: Mapping[str, float]) -> None:
-    _check_labels(model, gamma, "gamma")
-    if not all(1.0 <= 1.0 + float(gamma[l]) < INF for l in model.prior_labels):
+def _check_gamma(model: ScenarioModel, gamma: Mapping[str, float]) -> Dict[str, float]:
+    gamma = _label_floats(model, gamma, "gamma")
+    if not all(1.0 <= 1.0 + gamma[l] < INF for l in model.prior_labels):
         raise ValidationError("additive divisor must be finite with 1 + gamma >= 1")
+    return gamma
 
 
 @dataclass
@@ -178,9 +183,9 @@ class NormResult:
 
 
 def _check_tol(tol: float, max_iter: int) -> None:
-    if not (tol > 0 and math.isfinite(tol)):
+    if not (isinstance(tol, Real) and tol > 0 and math.isfinite(tol)):
         raise ValidationError("tol must be finite and positive")
-    if not max_iter >= 1:
+    if not (isinstance(max_iter, Real) and max_iter >= 1):
         raise ValidationError("max_iter must be at least 1")
 
 
@@ -188,7 +193,7 @@ def _check_tol(tol: float, max_iter: int) -> None:
 
 
 def _check_scale(lam: float) -> None:
-    if not lam > 0:
+    if not (isinstance(lam, Real) and lam > 0):
         raise ValidationError("modular scale must be positive")
 
 
@@ -315,85 +320,59 @@ def modular(model: ScenarioModel, x, lam: float, family: OrliczFamily) -> float:
 # -- norms ----------------------------------------------------------------
 
 
-def _ladder() -> Generator[float, float, tuple]:
-    """The bracketing ladder of `_norm_bisection`: halves or doubles lam
-    from 1 until a nonincreasing modular crosses 1, within [_LAMBDA_FLOOR,
-    _LAMBDA_CAP] = [2**-1023, 2**1023] in units of max|X| (the kernels read
-    y = |X| / max|X|), the powers of 2 whose reciprocals are finite. It
-    yields each lam to evaluate and is sent the modular there; it returns
-    (lo, m_lo, hi, m_hi, steps) with m_lo > 1 >= m_hi, where
-    lo < _LAMBDA_FLOOR (m_lo None) means the modular stays <= 1 down to
-    there and hi > _LAMBDA_CAP (m_hi None) that it stays > 1 up to there.
-    """
-    it = 0
-    m = yield 1.0
-    if m <= 1.0:
-        hi, m_hi, lo = 1.0, m, 0.5
-        m_lo = yield lo
-        while m_lo <= 1.0:
-            hi, m_hi, lo = lo, m_lo, lo / 2.0
-            it += 1
-            if lo < _LAMBDA_FLOOR:
-                return lo, None, hi, m_hi, it
-            m_lo = yield lo
-    else:
-        lo, m_lo, hi = 1.0, m, 2.0
-        m_hi = yield hi
-        while m_hi > 1.0:
-            lo, m_lo, hi = hi, m_hi, hi * 2.0
-            it += 1
-            if hi > _LAMBDA_CAP:
-                return lo, m_lo, hi, None, it
-            m_hi = yield hi
-    return lo, m_lo, hi, m_hi, it
-
-
 def _brackets(mods: Callable[[float, list], list], n: int) -> list:
-    """The outcomes of n `_ladder`s run in lockstep: mods(lam, idx) gives
-    the modulars of the members idx at lam, so all ladders that ask for
-    the same lam share one call."""
-    ladders = [_ladder() for _ in range(n)]
-    for ladder in ladders:
-        next(ladder)  # every ladder starts at lam = 1
-    asks = {1.0: list(range(n))}
+    """The brackets of n nonincreasing modulars, for `_norm_bisection`:
+    mods(lam, idx) gives the modulars of the members idx at lam. From
+    lam = 1 each member halves lam while its modular is <= 1 or doubles it
+    while it is > 1, until it crosses 1. Past 2**+-64 the factor squares
+    on each move (2**2, 2**4, 2**8, ...), clamped to [_LAMBDA_FLOOR,
+    _LAMBDA_CAP] = [2**-1023, 2**1023] in units of max|X| (the kernels read
+    y = |X| / max|X|), the powers of 2 whose reciprocals are finite, so
+    both bounds are evaluated. The members moving one way share each lam
+    and one call. Returns (lo, m_lo, hi, m_hi, steps) per member with
+    m_lo > 1 >= m_hi, steps counting the moves after the first; lo = 0
+    (m_lo None) means the modular stays <= 1 down to the floor, hi = inf
+    (m_hi None) that it stays > 1 up to the cap."""
     out: list = [None] * n
-    while asks:
-        nxt: dict = {}
-        for lam, idx in asks.items():
-            for i, m in zip(idx, mods(lam, idx)):
-                try:
-                    nxt.setdefault(ladders[i].send(m), []).append(i)
-                except StopIteration as done:
-                    out[i] = done.value
-        asks = nxt
+    first = mods(1.0, list(range(n)))
+    for down in (True, False):
+        live = {i: m for i, m in enumerate(first) if (m <= 1.0) == down}
+        lam, step, it = 1.0, 2.0, -1
+        while live:
+            if not 2.0 ** -64 <= lam <= 2.0 ** 64:
+                step *= step  # gallop
+            nxt = min(max(lam / step if down else lam * step, _LAMBDA_FLOOR), _LAMBDA_CAP)
+            it += 1
+            if nxt == lam:  # lam is the floor or the cap
+                for i, m in live.items():
+                    out[i] = (0.0, None, lam, m, it) if down else (lam, m, INF, None, it)
+                break
+            for (i, m), m_nxt in zip(list(live.items()), mods(nxt, list(live))):
+                if m_nxt <= 1.0 if down else m_nxt > 1.0:
+                    live[i] = m_nxt  # not yet across 1
+                else:
+                    del live[i]
+                    out[i] = (nxt, m_nxt, lam, m, it) if down else (lam, m, nxt, m_nxt, it)
+            lam = nxt
     return out
 
 
-def _norm_bisection(mod: Callable[[float], float], tol: float,
-                    max_iter: int, start: Optional[tuple] = None) -> tuple:
+def _norm_bisection(mod: Callable[[float], float], tol: float, max_iter: int,
+                    start: tuple) -> tuple:
     """inf{lam > 0 : mod(lam) <= 1} for a nonincreasing modular `mod`.
 
-    Brackets the root by halving or doubling lam from 1 (`_ladder`;
-    `start` is its outcome when it was run already), then narrows the
-    bracket [lo, hi] (mod(lo) > 1 >= mod(hi)) until hi - lo <= tol * hi
-    or max_iter steps, by Illinois regula falsi on (log lam, log mod).
+    Narrows the bracket `start` = (lo, m_lo, hi, m_hi, steps) of
+    `_brackets` (mod(lo) > 1 >= mod(hi)) until hi - lo <= tol * hi or
+    max_iter steps, by Illinois regula falsi on (log lam, log mod).
     Each step lands at least tol * hi / 2 inside the bracket, so an
     estimate at the root closes the bracket from the far side. The step
     is the geometric midpoint instead while an end's modular is 0 or inf
     (no secant through it: a zero region, a domain bound, a jump) and
     after two steps in a row that moved the same end without halving
     log(hi / lo), which keeps the worst case near bisection's step count.
-    Returns (value, (lo, hi), steps), the ladder's steps included; value
-    may be 0.0 or inf.
+    Returns (value, (lo, hi), steps), the bracketing steps included;
+    value may be 0.0 or inf.
     """
-    if start is None:
-        ladder = _ladder()
-        lam = next(ladder)
-        try:
-            while True:
-                lam = ladder.send(mod(lam))
-        except StopIteration as done:
-            start = done.value
     lo, m_lo, hi, m_hi, it = start
     if lo < _LAMBDA_FLOOR:
         return 0.0, (0.0, hi), it
@@ -460,8 +439,7 @@ def _block_norms(masses: Sequence[np.ndarray], y: np.ndarray, top: float,
     if pending:
         # one error state for every step of the root-finders
         with np.errstate(over="ignore"):
-            # a block of one runs its ladder in `_norm_bisection`
-            starts = [None] if len(pending) == 1 else _brackets(
+            starts = _brackets(
                 lambda lam, idx: _modulars((masses[pending[i]] for i in idx), y, phi, 1.0 / lam),
                 len(pending))
             for j, start in zip(pending, starts):
@@ -601,16 +579,14 @@ def penalised_norm(model: ScenarioModel, x, phi: OrliczFunction,
     whose result is returned after certifying its value v on the
     penalised modular itself at v -+ 2 tol max(1, v).
     """
-    _check_labels(model, gamma, "gamma")
-    if not all(0.0 <= float(g) < INF for g in gamma.values()):
+    gamma = _label_floats(model, gamma, "gamma")
+    if not all(0.0 <= g < INF for g in gamma.values()):
         raise ValidationError("penalties must be finite and nonnegative")
     abs_x = np.abs(canonicalise(model, x).values)
     family = OrliczFamily.additively_penalised(model, phi, gamma)
     res = luxemburg_norm(model, abs_x, family, tol=tol, max_iter=max_iter)
     _certify(_plan(model, OrliczFamily.uniform(model, phi)), abs_x, res.value,
-             2.0 * tol * max(1.0, res.value),
-             {l: float(gamma[l]) for l in model.prior_labels},
-             res.per_prior_norms)
+             2.0 * tol * max(1.0, res.value), gamma, res.per_prior_norms)
     return res
 
 
@@ -628,13 +604,13 @@ def weighted_lp_norm(model: ScenarioModel, x, p: float,
 
 def risk_measure(model: ScenarioModel, x, gamma: Mapping[str, float]) -> float:
     """rho(X) = sup_P E_P[X] - gamma(P) for X >= 0 quasi-surely."""
-    _check_labels(model, gamma, "gamma")
-    if any(math.isnan(float(gamma[l])) for l in model.prior_labels):
+    gamma = _label_floats(model, gamma, "gamma")
+    if any(math.isnan(gamma[l]) for l in model.prior_labels):
         raise ValidationError("penalties must not be NaN")
     xc = canonicalise(model, x).values
     if np.any(xc < 0):
         raise ValidationError("risk_measure expects a nonnegative claim")
     return max(
-        expectation(prior, xc) - float(gamma[label])
+        expectation(prior, xc) - gamma[label]
         for label, prior in zip(model.prior_labels, model.priors)
     )

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from robust_orlicz import (OrliczFamily, Power, ScenarioModel, Truncation, ValidationError,
-                           expectation, kothe_dual_norm, luxemburg_norm,
-                           single_prior_luxemburg, tail_membership,
-                           uniform_integrability_report)
+                           expectation, kothe_dual_norm, luxemburg_norm, modular,
+                           penalised_norm, risk_measure, single_prior_luxemburg,
+                           tail_membership, uniform_integrability_report, weighted_lp_norm)
 from robust_orlicz.norms import single_prior_modular
 
 BAD_PRIORS = [[math.nan, 1.0], [math.inf, 1.0], [1.5, -0.5]]
@@ -80,8 +80,36 @@ LADDER = [Truncation(model=M2, x=np.array([1.0, 2.0]), family=OrliczFamily.unifo
     (lambda: tail_membership(LADDER, [0.5, "x"]), "levels"),
     (lambda: expectation(["x", 0.5], [1.0, 1.0]), "measure masses"),
     (lambda: expectation([0.5, 0.5], [1.0, [2.0]]), "random variable values"),
+    (lambda: OrliczFamily.additively_penalised(M2, Power(2.0), {"P1": "x", "P2": 0}), "gamma"),
+    (lambda: OrliczFamily.multiplicatively_weighted(M2, Power(2.0), {"P1": 1, "P2": 1j}),
+     "theta"),
+    (lambda: OrliczFamily.doubly_penalised(M2, Power(2.0), {"P1": 1, "P2": 1},
+                                           {"P1": 0, "P2": None}), "gamma"),
+    (lambda: penalised_norm(M2, [1.0, 2.0], Power(2.0), {"P1": "x", "P2": 0}), "gamma"),
+    (lambda: risk_measure(M2, [1.0, 2.0], {"P1": 0, "P2": "x"}), "gamma"),
+    (lambda: weighted_lp_norm(M2, [1.0, 2.0], 2.0, {"P1": "x", "P2": 1}), "theta"),
 ], ids=["luxemburg-prior", "luxemburg-x", "modular-prior", "dual-mu", "dual-prior",
-        "ui-c-grid", "ui-pstar", "tails-levels", "expectation-weights", "expectation-g"])
+        "ui-c-grid", "ui-pstar", "tails-levels", "expectation-weights", "expectation-g",
+        "additive-gamma", "weighted-theta", "doubly-gamma", "penalised-gamma", "risk-gamma",
+        "weighted-lp-theta"])
 def test_entry_points_want_real_numbers(call, what):
     with pytest.raises(ValidationError, match=f"^{what} must be real numbers$"):
+        call()
+
+
+FAM2 = OrliczFamily.uniform(M2, Power(2.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: luxemburg_norm(M2, [1.0, 2.0], FAM2, tol="x"), "tol must be finite and positive"),
+    (lambda: luxemburg_norm(M2, [1.0, 2.0], FAM2, tol=1j), "tol must be finite and positive"),
+    (lambda: luxemburg_norm(M2, [1.0, 2.0], FAM2, max_iter="x"), "max_iter must be at least 1"),
+    (lambda: single_prior_luxemburg([1.0], Power(2.0), [1.0], max_iter=None),
+     "max_iter must be at least 1"),
+    (lambda: modular(M2, [1.0, 2.0], "x", FAM2), "modular scale must be positive"),
+    (lambda: single_prior_modular([1.0], Power(2.0), [1.0], [2.0]),
+     "modular scale must be positive"),
+], ids=["tol-str", "tol-complex", "max-iter-str", "max-iter-none", "lam-str", "lam-list"])
+def test_kernel_scalars_want_real_numbers(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
         call()

@@ -250,19 +250,33 @@ class TestRootFinder:
             if phi.luxemburg_closed_form(prior[pos], y[pos]) is not None:
                 continue
             steps_taken += steps
-            lam, (lo, hi), _ = norms._norm_bisection(mod, TOL / 2.0, norms.MAX_ITER)
+            start = norms._brackets(lambda lam, idx: [mod(lam)], 1)[0]
+            lam, (lo, hi), _ = norms._norm_bisection(mod, TOL / 2.0, norms.MAX_ITER, start)
             assert mod(lo) > 1.0 >= mod(hi)
             assert lo <= lam <= hi and hi - lo <= TOL / 2.0 * hi
         assert steps_taken > 0
 
     def test_ladder_steps_do_not_count_against_max_iter(self):
-        # the norm of |X| / max|X| is about 2**-319: the ladder alone takes
-        # 319 halvings, more than MAX_ITER, and the narrowing still follows
+        # the norm of |X| / max|X| is about 2**-319: the ladder gallops past
+        # 2**-64 and the narrowing still follows
         prior = np.array([1.0, 6.418738699481516e-97])
         phi = PiecewiseLinear([1.3948674243563872], [0.9286480876306539])
         x = np.array([1.671e-96, 1.0])
         value, steps = single_prior_luxemburg(prior, phi, x, with_steps=True)
-        assert steps > norms.MAX_ITER
+        assert steps <= 120
         assert value == pytest.approx(9.357415425e-97, rel=1e-9)
         assert (norms.single_prior_modular(prior, phi, x, value * (1.0 - 1e-10)) > 1.0
                 >= norms.single_prior_modular(prior, phi, x, value * (1.0 + 1e-10)))
+
+    @pytest.mark.parametrize("theta", [1e-305, 1e-100, 1e300, 1e-307, 1e-310])
+    def test_ladder_gallops_past_2_to_the_64(self, theta):
+        # the norm theta / ln 2 lies hundreds of binary orders from 1
+        phi = Scaled(Exponential(1.0), theta)
+        value, steps = single_prior_luxemburg([1.0], phi, [1.0], with_steps=True)
+        assert steps <= 120
+        if theta / math.log(2.0) < norms._LAMBDA_FLOOR:  # the ulp a nonzero X keeps
+            assert value == 5e-324
+            return
+        assert value == pytest.approx(theta / math.log(2.0), rel=1e-10)
+        assert (norms.single_prior_modular([1.0], phi, [1.0], value * (1.0 - 1e-10)) > 1.0
+                >= norms.single_prior_modular([1.0], phi, [1.0], value * (1.0 + 1e-10)))

@@ -99,6 +99,29 @@ def test_blocks_split_on_phi_and_support():
     assert blocks == [(id(phi), [["P1", "P3"], ["P2", "P5"]]), (id(phi), [["P4"]])]
 
 
+def _reference_ladder(mod):
+    """(lo, m_lo, hi, m_hi, steps) of the ladder lam = 2**k from k = 0: k
+    moves by 1 toward the crossing of mod and 1, by 2, 4, 8, ... once
+    |k| > 64, to at most |k| = 1023; one more move ends it unevaluated, as
+    lo = 0 or hi = inf. steps counts the moves after the first."""
+    m = mod(1.0)
+    down = m <= 1.0
+    k, d, steps = 0, 1, -1
+    while True:
+        if abs(k) > 64:
+            d *= 2
+        steps += 1
+        if abs(k) == 1023:
+            return (0.0, None, 2.0 ** k, m, steps) if down else (2.0 ** k, m, INF, None, steps)
+        k_new = max(k - d, -1023) if down else min(k + d, 1023)
+        m_new = mod(2.0 ** k_new)
+        if (m_new <= 1.0) != down:
+            ends = [(2.0 ** k_new, m_new), (2.0 ** k, m)]
+            (lo, m_lo), (hi, m_hi) = ends if down else ends[::-1]
+            return lo, m_lo, hi, m_hi, steps
+        k, m = k_new, m_new
+
+
 def test_lockstep_ladder_matches_each_prior_alone(rng):
     for _ in range(30):
         n = int(rng.integers(2, 30))
@@ -110,13 +133,42 @@ def test_lockstep_ladder_matches_each_prior_alone(rng):
                 lambda lam, idx: norms._modulars((ws[i] for i in idx), y, phi, 1.0 / lam),
                 len(ws))
             for w, got in zip(ws, shared):
-                ladder = norms._ladder()
-                lam = next(ladder)
-                try:
-                    while True:
-                        lam = ladder.send(float(phi._eval_scaled(y, 1.0 / lam).dot(w)))
-                except StopIteration as done:
-                    assert got == done.value
+                assert got == _reference_ladder(
+                    lambda lam: float(phi._eval_scaled(y, 1.0 / lam).dot(w)))
+
+
+# norms c of the modulars c / lam, moving down, up, through the gallop,
+# and a modular that stays <= 1 down to the floor (0) or > 1 up to the cap
+LADDER_NORMS = [0.3, 3.0, 1.0, 1e-5, 1e5, 2.0 ** -70 / 3.0, 2.0 ** 70 * 3.0,
+                1e-300, 1e300, 0.0, INF]
+
+
+def test_lockstep_ladder_moves_both_ways_to_the_bounds():
+    def mod(c, lam):
+        return 0.0 if c == 0.0 else INF if c == INF else c / lam
+
+    asked = []
+
+    def mods(lam, idx):
+        asked.append(lam)
+        return [mod(LADDER_NORMS[i], lam) for i in idx]
+
+    got = norms._brackets(mods, len(LADDER_NORMS))
+    # the members moving one way share each lam: no lam is asked twice
+    assert len(asked) == len(set(asked))
+    for c, bracket in zip(LADDER_NORMS, got):
+        assert bracket == _reference_ladder(lambda lam: mod(c, lam))
+        lo, m_lo, hi, m_hi, steps = bracket
+        assert steps <= 80
+        if c == 0.0:
+            assert lo == 0.0 and m_lo is None and hi == norms._LAMBDA_FLOOR
+        elif c == INF:
+            assert hi == INF and m_hi is None and lo == norms._LAMBDA_CAP
+        else:
+            assert lo < c <= hi and m_lo > 1.0 >= m_hi
+        value, _, _ = norms._norm_bisection(lambda lam: mod(c, lam), 1e-10, norms.MAX_ITER,
+                                            bracket)
+        assert value == pytest.approx(c, rel=1e-10)
 
 
 def _dirichlet_instance():
